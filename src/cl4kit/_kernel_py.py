@@ -1,9 +1,9 @@
-"""Pure-Python lane of the truth-table kernel.
+"""Bigint sweep of the truth-table kernel.
 
 Evaluates the whole assignment space at once: the truth column of atom i
 over all 2**n assignments is packed into one big integer, and the postfix
-program runs bottom-up with bigint bitwise operations.  Same program format
-and contract as the compiled lane.
+program (the format of ``cl4kit.kernel.compile_program``) runs bottom-up
+with bigint bitwise operations.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 
 def _column(i: int, n: int) -> int:
     """Bit a of the result is 1 iff bit i of assignment a is 1."""
-    width = 1 << (i + 1)
-    unit = ((1 << (1 << i)) - 1) << (1 << i)
-    reps = (1 << n) >> (i + 1)
-    return unit * (((1 << (width * reps)) - 1) // ((1 << width) - 1))
+    half = 1 << i
+    col = ((1 << half) - 1) << half
+    width = half << 1
+    while width < 1 << n:
+        col |= col << width
+        width <<= 1
+    return col
 
 
 def falsifying(program, n_atoms: int):

@@ -1,19 +1,14 @@
 """Propositional validity kernel: compile a quantifier-free elementary
 formula to a postfix program and sweep the assignment space.
 
-Two interchangeable lanes run the sweep: a compiled extension
-(``cl4kit._kernel``, built from Cython) and a pure bigint lane
-(``cl4kit._kernel_py``).  The compiled lane is preferred when importable;
-set ``CL4KIT_KERNEL=pure`` to force the fallback.  Beyond ``MAX_SWEEP_ATOMS``
-distinct atoms, a DPLL search over the clausified negation takes over.
+Up to ``MAX_SWEEP_ATOMS`` distinct atoms, one bigint sweep
+(``cl4kit._kernel_py``) evaluates the program on every assignment at once.
+Beyond that, a DPLL search over the clausified negation takes over.
 
 Opcodes: 0 LOAD, 1 FALSE, 2 TRUE, 3 NOT, 4 AND, 5 OR, 6 IMP.
 """
 
 from __future__ import annotations
-
-import os
-from array import array
 
 from .syntax import (
     Atom,
@@ -29,29 +24,9 @@ from .syntax import (
 
 from . import _kernel_py
 
-try:
-    from . import _kernel as _compiled
-except ImportError:  # pragma: no cover - depends on the build
-    _compiled = None
-
-if os.environ.get("CL4KIT_KERNEL", "").lower() == "pure":
-    _lane = _kernel_py
-    _lane_name = "pure"
-elif _compiled is not None:
-    _lane = _compiled
-    _lane_name = "compiled"
-else:
-    _lane = _kernel_py
-    _lane_name = "pure"
-
 MAX_SWEEP_ATOMS = 22
 
 OP_LOAD, OP_FALSE, OP_TRUE, OP_NOT, OP_AND, OP_OR, OP_IMP = range(7)
-
-
-def active_lane() -> str:
-    """Which sweep lane is in use: "compiled" or "pure"."""
-    return _lane_name
 
 
 def compile_program(f: Formula) -> tuple[list[int], list[Atom]]:
@@ -106,7 +81,7 @@ def falsifying_assignment(f: Formula) -> dict[Atom, bool] | None:
     ops, atom_list = compile_program(f)
     n = len(atom_list)
     if n <= MAX_SWEEP_ATOMS:
-        idx = _lane.falsifying(array("q", ops), n)
+        idx = _kernel_py.falsifying(ops, n)
         if idx is None:
             return None
         return {a: bool((idx >> i) & 1) for i, a in enumerate(atom_list)}

@@ -1,22 +1,35 @@
 import random
-from array import array
 
 import pytest
 
 from cl4kit import kernel
 from cl4kit import _kernel_py
-from cl4kit.syntax import parse, pretty
+from cl4kit.syntax import Atom, Implies, Neg, ParAnd, ParOr, elem_letter, parse, pretty
 
 from helpers import random_qf_elementary
 
-try:
-    from cl4kit import _kernel as compiled
-except ImportError:
-    compiled = None
+
+def ev(node, assignment):
+    """Truth value of a quantifier-free elementary formula, by recursion."""
+    if isinstance(node, Atom):
+        if node.letter.logical:
+            return node.letter.name == "T"
+        return assignment[node]
+    if isinstance(node, Neg):
+        return not ev(node.body, assignment)
+    if isinstance(node, ParAnd):
+        return all(ev(p, assignment) for p in node.parts)
+    if isinstance(node, ParOr):
+        return any(ev(p, assignment) for p in node.parts)
+    return (not ev(node.lhs, assignment)) or ev(node.rhs, assignment)
 
 
-def test_active_lane_reports():
-    assert kernel.active_lane() in ("compiled", "pure")
+def chain(n, drop=None):
+    """(p0 /\\ (p0->p1) /\\ ... /\\ (p(n-2)->p(n-1))) -> p(n-1), with the link
+    out of p(drop) left out when drop is given."""
+    atoms = [Atom(elem_letter(f"p{i}")) for i in range(n)]
+    links = tuple(Implies(atoms[i], atoms[i + 1]) for i in range(n - 1) if i != drop)
+    return Implies(ParAnd((atoms[0],) + links), atoms[-1])
 
 
 @pytest.mark.parametrize(
@@ -49,39 +62,36 @@ def test_falsifying_assignment_falsifies():
         assignment = kernel.falsifying_assignment(f)
         if assignment is None:
             continue
-
-        def ev(node):
-            from cl4kit.syntax import Atom, Neg, ParAnd, ParOr, Implies
-
-            if isinstance(node, Atom):
-                if node.letter.logical:
-                    return node.letter.name == "T"
-                return assignment[node]
-            if isinstance(node, Neg):
-                return not ev(node.body)
-            if isinstance(node, ParAnd):
-                return all(ev(p) for p in node.parts)
-            if isinstance(node, ParOr):
-                return any(ev(p) for p in node.parts)
-            return (not ev(node.lhs)) or ev(node.rhs)
-
-        assert ev(f) is False
+        assert ev(f, assignment) is False
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled lane not built")
-def test_lanes_agree():
+def test_sweep_returns_lowest_falsifying_index():
     rng = random.Random(17)
     for _ in range(300):
-        f = random_qf_elementary(rng, max_atoms=7, depth=4)
+        f = random_qf_elementary(rng, max_atoms=8, depth=4)
         ops, atoms = kernel.compile_program(f)
-        program = array("q", ops)
-        got_compiled = compiled.falsifying(program, len(atoms))
-        got_pure = _kernel_py.falsifying(ops, len(atoms))
-        assert (got_compiled is None) == (got_pure is None)
-        # when both report an assignment they may differ; both must falsify
-        for got in (got_compiled, got_pure):
-            if got is not None:
-                assert 0 <= got < 2 ** len(atoms)
+        expected = next(
+            (
+                idx
+                for idx in range(2 ** len(atoms))
+                if not ev(f, {a: bool((idx >> i) & 1) for i, a in enumerate(atoms)})
+            ),
+            None,
+        )
+        assert _kernel_py.falsifying(ops, len(atoms)) == expected, pretty(f)
+
+
+@pytest.mark.parametrize("n", [kernel.MAX_SWEEP_ATOMS - 1, kernel.MAX_SWEEP_ATOMS])
+def test_sweep_top_of_range(n):
+    taut = chain(n)
+    assert len(kernel.compile_program(taut)[1]) == n
+    assert kernel.is_tautology(taut)
+    for drop in (0, n // 2, n - 2):
+        open_f = chain(n, drop)
+        assert len(kernel.compile_program(open_f)[1]) == n
+        assignment = kernel.falsifying_assignment(open_f)
+        assert assignment is not None
+        assert ev(open_f, assignment) is False
 
 
 def test_dpll_agrees_with_sweep():
@@ -95,8 +105,6 @@ def test_dpll_agrees_with_sweep():
 
 
 def test_wide_formula_falls_back_to_dpll():
-    from cl4kit.syntax import Atom, ParOr, Neg, elem_letter
-
     n = kernel.MAX_SWEEP_ATOMS + 3
     atoms = [Atom(elem_letter(f"p{i}")) for i in range(n)]
     taut = ParOr(tuple(atoms) + (Neg(atoms[0]),))
