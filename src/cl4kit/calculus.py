@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .classical import Budget, is_stable, tautology_qf, elementarize
+from .classical import Budget, is_stable
+from .games import BOT_PLAYER, TOP_PLAYER, choice_mover
 from .syntax import (
     Address,
     Atom,
@@ -38,7 +39,6 @@ from .syntax import (
     fresh_variable,
     gen_letter,
     hybrid_letter,
-    is_blind_free,
     is_formula,
     is_reasonable,
     letter_names,
@@ -126,6 +126,63 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# Rule targets
+# ---------------------------------------------------------------------------
+
+_CONNECTIVES = (ChoAnd, ChoOr)
+_QUANTIFIERS = (ChoAll, ChoEx)
+
+
+def _is_target(occ: Occurrence, mover: str, kinds: tuple[type, ...]) -> bool:
+    """Is occ a choice quasiatom of one of these kinds that mover resolves?"""
+    qa = occ.quasiatom
+    return isinstance(qa, kinds) and choice_mover(qa, occ.polarity) == mover
+
+
+def _targets(e: Formula, mover: str, kinds: tuple[type, ...]) -> list[Occurrence]:
+    return [occ for occ in surface_occurrences(e) if _is_target(occ, mover, kinds)]
+
+
+def rule_a_targets(e: Formula) -> list[Occurrence]:
+    """Surface occurrences Rule A quantifies over: the choices the environment
+    resolves (positive caps, negative cups)."""
+    return _targets(e, BOT_PLAYER, _CONNECTIVES + _QUANTIFIERS)
+
+
+def b1_targets(e: Formula) -> list[Occurrence]:
+    """Choice connectives the machine resolves (negative cap, positive cup)."""
+    return _targets(e, TOP_PLAYER, _CONNECTIVES)
+
+
+def b2_targets(e: Formula) -> list[Occurrence]:
+    """Choice quantifiers the machine resolves (negative cap, positive cup)."""
+    return _targets(e, TOP_PLAYER, _QUANTIFIERS)
+
+
+def _is_general(qa: Formula) -> bool:
+    return isinstance(qa, Atom) and qa.letter.kind == "general"
+
+
+def c_pairs(e: Formula) -> list[tuple[Occurrence, Occurrence]]:
+    """(positive, negative) surface occurrence pairs of one general letter."""
+    occs = surface_occurrences(e)
+    out = []
+    for pos in occs:
+        if not _is_general(pos.quasiatom):
+            continue
+        if pos.polarity <= 0:
+            continue
+        for neg in occs:
+            if neg.polarity >= 0:
+                continue
+            if not isinstance(neg.quasiatom, Atom):
+                continue
+            if neg.quasiatom.letter == pos.quasiatom.letter:
+                out.append((pos, neg))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rule A premises
 # ---------------------------------------------------------------------------
 
@@ -142,25 +199,12 @@ class APremise:
     formula: Formula
 
 
-def rule_a_targets(e: Formula) -> list[Occurrence]:
-    """Surface occurrences Rule A quantifies over: positive cap-type and
-    negative cup-type choice quasiatoms."""
-    out = []
-    for occ in surface_occurrences(e):
-        qa, pol = occ.quasiatom, occ.polarity
-        if isinstance(qa, (ChoAnd, ChoAll)) and pol > 0:
-            out.append(occ)
-        elif isinstance(qa, (ChoOr, ChoEx)) and pol < 0:
-            out.append(occ)
-    return out
-
-
 def rule_a_premises(e: Formula) -> list[APremise]:
     used_vars = variables(e)
     out: list[APremise] = []
     for occ in rule_a_targets(e):
         qa = occ.quasiatom
-        if isinstance(qa, (ChoAnd, ChoOr)):
+        if isinstance(qa, _CONNECTIVES):
             for i, comp in enumerate(qa.parts, start=1):
                 out.append(
                     APremise(occ, "component", i, None, replace_at(e, occ.address, comp))
@@ -184,8 +228,30 @@ def premises_A(e: Formula) -> list[Formula]:
     return out
 
 
+def match_a_premise(
+    e: Formula, req: APremise, supplied: list[Formula]
+) -> tuple[int, str | None] | None:
+    """The first supplied premise that realizes the required Rule A premise
+    req: its position, and the variable it instantiates req's quantifier to
+    (None for a component premise).  A quantifier premise is e with the body
+    on any variable fresh for e, tried in sorted order, or on the bound
+    variable itself when the quantifier is vacuous."""
+    if req.kind == "component":
+        return next(((k, None) for k, h in enumerate(supplied) if h == req.formula), None)
+    qa, addr = req.occurrence.quasiatom, req.occurrence.address
+    e_vars = variables(e)
+    vacuous = qa.var not in free_variables(qa.body)
+    for k, h in enumerate(supplied):
+        for y in sorted(variables(h) - e_vars):
+            if replace_at(e, addr, substitute(qa.body, qa.var, Var(y))) == h:
+                return k, y
+        if vacuous and replace_at(e, addr, qa.body) == h:
+            return k, qa.var
+    return None
+
+
 # ---------------------------------------------------------------------------
-# Side conditions
+# Premises of B1, B2 and C
 # ---------------------------------------------------------------------------
 
 
@@ -251,74 +317,64 @@ def b2_scope_ok(e: Formula, addr: Address, t: Term) -> bool:
     return True
 
 
-def b1_targets(e: Formula) -> list[Occurrence]:
-    """Negative cap / positive cup surface connective occurrences."""
-    out = []
-    for occ in surface_occurrences(e):
-        qa, pol = occ.quasiatom, occ.polarity
-        if isinstance(qa, ChoAnd) and pol < 0:
-            out.append(occ)
-        elif isinstance(qa, ChoOr) and pol > 0:
-            out.append(occ)
-    return out
+def _resolve(e: Formula, addr: Address) -> Occurrence:
+    try:
+        return resolve(e, addr)
+    except KeyError as ex:
+        raise ValueError(str(ex)) from None
 
 
-def b2_targets(e: Formula) -> list[Occurrence]:
-    """Negative cap-quantifier / positive cup-quantifier occurrences."""
-    out = []
-    for occ in surface_occurrences(e):
-        qa, pol = occ.quasiatom, occ.polarity
-        if isinstance(qa, ChoAll) and pol < 0:
-            out.append(occ)
-        elif isinstance(qa, ChoEx) and pol > 0:
-            out.append(occ)
-    return out
+def rule_premise(e: Formula, rule: RuleApplication) -> Formula:
+    """The premise of a B1, B2 or C application to e.  Raises ValueError,
+    saying why, when the rule does not apply there."""
+    if rule.tag == "B1":
+        if rule.addr is None or rule.index is None:
+            raise ValueError("Rule B1 needs an address and a component index")
+        occ = _resolve(e, rule.addr)
+        if not _is_target(occ, TOP_PLAYER, _CONNECTIVES):
+            raise ValueError("Rule B1 requires a negative cap or positive cup occurrence")
+        parts = occ.quasiatom.parts
+        if not 1 <= rule.index <= len(parts):
+            raise ValueError(f"component index {rule.index} out of range")
+        return replace_at(e, rule.addr, parts[rule.index - 1])
 
+    if rule.tag == "B2":
+        if rule.addr is None or rule.term is None:
+            raise ValueError("Rule B2 needs an address and a term")
+        occ = _resolve(e, rule.addr)
+        if not _is_target(occ, TOP_PLAYER, _QUANTIFIERS):
+            raise ValueError(
+                "Rule B2 requires a negative cap-quantifier or positive cup-quantifier occurrence"
+            )
+        if not b2_scope_ok(e, rule.addr, rule.term):
+            raise ValueError(f"term {rule.term} violates the scope side condition")
+        qa = occ.quasiatom
+        return replace_at(e, rule.addr, substitute(qa.body, qa.var, rule.term))
 
-def c_pairs(e: Formula) -> list[tuple[Occurrence, Occurrence]]:
-    """(positive, negative) surface occurrence pairs of one general letter."""
-    occs = surface_occurrences(e)
-    out = []
-    for pos in occs:
-        if not (isinstance(pos.quasiatom, Atom) and pos.quasiatom.letter.kind == "general"):
-            continue
-        if pos.polarity <= 0:
-            continue
-        for neg in occs:
-            if neg.polarity >= 0:
-                continue
-            if not isinstance(neg.quasiatom, Atom):
-                continue
-            if neg.quasiatom.letter == pos.quasiatom.letter:
-                out.append((pos, neg))
-    return out
+    if rule.tag == "C":
+        if rule.pos is None or rule.neg is None or rule.elem is None:
+            raise ValueError("Rule C needs positive/negative addresses and an elementary letter")
+        pos, neg = _resolve(e, rule.pos), _resolve(e, rule.neg)
+        if not _is_general(pos.quasiatom):
+            raise ValueError("positive address must name a general atom")
+        if not _is_general(neg.quasiatom):
+            raise ValueError("negative address must name a general atom")
+        if pos.polarity <= 0 or neg.polarity >= 0:
+            raise ValueError("Rule C needs one positive and one negative occurrence")
+        if pos.quasiatom.letter != neg.quasiatom.letter:
+            raise ValueError("the two occurrences must share their general letter")
+        if rule.elem in letter_names(e) or rule.elem in ("T", "F"):
+            raise ValueError(f"letter {rule.elem} is not fresh for the conclusion")
+        q = elem_letter(rule.elem, pos.quasiatom.letter.arity)
+        premise = replace_at(e, rule.pos, Atom(q, pos.quasiatom.args))
+        return replace_at(premise, rule.neg, Atom(q, neg.quasiatom.args))
+
+    raise ValueError(f"Rule {rule.tag} has no premise built from its conclusion alone")
 
 
 # ---------------------------------------------------------------------------
 # Step checking
 # ---------------------------------------------------------------------------
-
-
-def _match_a_premise(e: Formula, required: APremise, supplied: list[Formula]) -> bool:
-    """Does some supplied premise realize this required Rule A premise?
-    Quantifier premises match modulo the choice of fresh variable."""
-    if required.formula in supplied:
-        return True
-    if required.kind != "variable":
-        return False
-    qa = required.occurrence.quasiatom
-    e_vars = variables(e)
-    for h in supplied:
-        for y in variables(h) - e_vars:
-            body = substitute(qa.body, qa.var, Var(y))
-            if replace_at(e, required.occurrence.address, body) == h:
-                return True
-        # vacuous quantifier: the bound variable has no free occurrence
-        if replace_at(e, required.occurrence.address, qa.body) == h and qa.var not in free_variables(
-            qa.body
-        ):
-            return True
-    return False
 
 
 def check_step(
@@ -335,94 +391,27 @@ def check_step(
         return "Rule C is not part of CL4o"
 
     if rule.tag == "A":
-        ee = elementarize(conclusion)
-        if is_blind_free(ee):
-            if not tautology_qf(ee):
-                return "conclusion is instable"
-        else:
-            verdict = is_stable(conclusion, budget)
-            if verdict.is_invalid:
-                return "conclusion is instable"
-            if verdict.is_unknown:
-                return f"stability unverified: {verdict.reason}"
+        verdict = is_stable(conclusion, budget)
+        if verdict.is_invalid:
+            return "conclusion is instable"
+        if verdict.is_unknown:
+            return f"stability unverified: {verdict.reason}"
         for req in rule_a_premises(conclusion):
-            if not _match_a_premise(conclusion, req, premises):
-                return (
-                    f"missing Rule A premise for occurrence {addr_str(req.occurrence.address) or 'e'}: "
-                    f"{pretty(req.formula)}"
-                )
+            if match_a_premise(conclusion, req, premises) is not None:
+                continue
+            return (
+                f"missing Rule A premise for occurrence {addr_str(req.occurrence.address) or 'e'}: "
+                f"{pretty(req.formula)}"
+            )
         return None
 
-    if rule.tag == "B1":
-        if rule.addr is None or rule.index is None:
-            return "Rule B1 needs an address and a component index"
+    if rule.tag in ("B1", "B2", "C"):
         if len(premises) != 1:
-            return "Rule B1 takes exactly one premise"
+            return f"Rule {rule.tag} takes exactly one premise"
         try:
-            occ = resolve(conclusion, rule.addr)
-        except KeyError as ex:
+            expected = rule_premise(conclusion, rule)
+        except ValueError as ex:
             return str(ex)
-        qa, pol = occ.quasiatom, occ.polarity
-        if not (
-            (isinstance(qa, ChoAnd) and pol < 0) or (isinstance(qa, ChoOr) and pol > 0)
-        ):
-            return "Rule B1 requires a negative cap or positive cup occurrence"
-        if not 1 <= rule.index <= len(qa.parts):
-            return f"component index {rule.index} out of range"
-        expected = replace_at(conclusion, rule.addr, qa.parts[rule.index - 1])
-        if premises[0] != expected:
-            return f"premise should be {pretty(expected)}"
-        return None
-
-    if rule.tag == "B2":
-        if rule.addr is None or rule.term is None:
-            return "Rule B2 needs an address and a term"
-        if len(premises) != 1:
-            return "Rule B2 takes exactly one premise"
-        try:
-            occ = resolve(conclusion, rule.addr)
-        except KeyError as ex:
-            return str(ex)
-        qa, pol = occ.quasiatom, occ.polarity
-        if not (
-            (isinstance(qa, ChoAll) and pol < 0) or (isinstance(qa, ChoEx) and pol > 0)
-        ):
-            return "Rule B2 requires a negative cap-quantifier or positive cup-quantifier occurrence"
-        if not b2_scope_ok(conclusion, rule.addr, rule.term):
-            return f"term {rule.term} violates the scope side condition"
-        expected = replace_at(
-            conclusion, rule.addr, substitute(qa.body, qa.var, rule.term)
-        )
-        if premises[0] != expected:
-            return f"premise should be {pretty(expected)}"
-        return None
-
-    if rule.tag == "C":
-        if rule.pos is None or rule.neg is None or rule.elem is None:
-            return "Rule C needs positive/negative addresses and an elementary letter"
-        if len(premises) != 1:
-            return "Rule C takes exactly one premise"
-        try:
-            pos_occ = resolve(conclusion, rule.pos)
-            neg_occ = resolve(conclusion, rule.neg)
-        except KeyError as ex:
-            return str(ex)
-        if not (isinstance(pos_occ.quasiatom, Atom) and pos_occ.quasiatom.letter.kind == "general"):
-            return "positive address must name a general atom"
-        if not (isinstance(neg_occ.quasiatom, Atom) and neg_occ.quasiatom.letter.kind == "general"):
-            return "negative address must name a general atom"
-        if pos_occ.polarity <= 0 or neg_occ.polarity >= 0:
-            return "Rule C needs one positive and one negative occurrence"
-        if pos_occ.quasiatom.letter != neg_occ.quasiatom.letter:
-            return "the two occurrences must share their general letter"
-        if rule.elem in letter_names(conclusion) or rule.elem in ("T", "F"):
-            return f"letter {rule.elem} is not fresh for the conclusion"
-        letter = pos_occ.quasiatom.letter
-        q = elem_letter(rule.elem, letter.arity)
-        expected = replace_at(
-            conclusion, rule.pos, Atom(q, pos_occ.quasiatom.args)
-        )
-        expected = replace_at(expected, rule.neg, Atom(q, neg_occ.quasiatom.args))
         if premises[0] != expected:
             return f"premise should be {pretty(expected)}"
         return None

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from . import kernel
 from .syntax import (
+    BOT,
+    TOP,
     Atom,
     BlindAll,
     BlindEx,
@@ -132,8 +134,6 @@ def elementarize(f: Formula) -> Formula:
     """Collapse all interactive structure: surface choice subformulas go to
     T (caps) / F (cups), positive surface general atoms to F, negative ones
     to T, and hybrid letters to their elementary component."""
-
-    from .syntax import BOT, TOP
 
     def walk(node: Formula, pol: int) -> Formula:
         if isinstance(node, Atom):

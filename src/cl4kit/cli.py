@@ -247,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--budget", type=int, default=None, metavar="N",
                        help="classical-checker budget (tableau depth)")
-        p.add_argument("--seed", type=int, default=None, metavar="N",
-                       help="seed for randomized tooling")
 
     p = sub.add_parser("decide", help="decide provability")
     p.add_argument("formula")
@@ -329,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,18 +1,23 @@
 """Provability decision procedure for blind-quantifier-free input, with a
 budgeted best-effort extension to formulas containing A/E.
 
-The search recurses on aggregate complexity, testing the four rules in the
-fixed order A, B1, B2, C (first success wins, occurrences left to right).
-Positive answers come with a machine-checkable proof.  In certified mode
-(blind-free input) stability is decided exactly, so the answer is never
-Unknown; the extension marks any branch whose stability check ran out of
-budget, and a failed search with a marked branch reports Unknown instead
-of Unprovable.
+The search recurses on aggregate complexity.  At each formula one loop runs
+over the rule applications in the fixed order A, B1, B2, C (occurrences
+left to right, then components, terms or letter pairs) and stops at the
+first whose premises are all provable.  Targets, premises and the stability
+test come from ``cl4kit.calculus``, the same code the proof checker runs,
+so positive answers come with a proof that ``check_proof`` accepts.
+
+In certified mode (blind-free input) stability is decided exactly, so the
+answer is never Unknown; the extension marks any branch whose stability
+check ran out of budget, and a failed search with a marked branch reports
+Unknown instead of Unprovable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .calculus import (
     CL4,
@@ -21,21 +26,19 @@ from .calculus import (
     RULE_A,
     RuleApplication,
     b1_targets,
-    b2_scope_ok,
     b2_targets,
     c_pairs,
     rule_a_premises,
+    rule_premise,
 )
-from .classical import Budget, elementarize, is_stable, tautology_qf
+from .classical import Budget, is_stable
 from .syntax import (
-    Atom,
     Const,
     Formula,
     Term,
     Var,
     aggregate_complexity,
     constants,
-    elem_letter,
     free_variables,
     fresh_elem_name,
     fresh_variable,
@@ -43,8 +46,6 @@ from .syntax import (
     is_formula,
     letter_names,
     pretty,
-    replace_at,
-    substitute,
     variables,
 )
 
@@ -80,9 +81,22 @@ class _Search:
     trace: list[str] | None = None
     stats: dict | None = None
 
-    def note(self, depth: int, message: str) -> None:
-        if self.trace is not None:
-            self.trace.append("  " * depth + message)
+    def note(self, depth: int, f: Formula, rule: RuleApplication | None = None) -> None:
+        """Trace line for f: the rule that proved it, or 'fail'.  Formatted
+        only when a trace was asked for."""
+        if self.trace is None:
+            return
+        if rule is None:
+            label = "fail"
+        elif rule.tag == "B1":
+            label = f"B1[{rule.index}]"
+        elif rule.tag == "B2":
+            label = f"B2[{rule.term}]"
+        elif rule.tag == "C":
+            label = f"C[{rule.elem}]"
+        else:
+            label = rule.tag
+        self.trace.append("  " * depth + f"{label}: {pretty(f)}")
 
     def observe(self, depth: int) -> None:
         if self.stats is not None:
@@ -92,16 +106,11 @@ class _Search:
 
 
 def _stable(f: Formula, search: _Search) -> bool:
-    """Stability test; exact on quantifier-free elementarizations, budgeted
-    otherwise.  An exhausted budget taints the search and counts as 'not
-    shown stable'."""
-    e = elementarize(f)
-    if is_blind_free(e):
-        return tautology_qf(e)
+    """Rule A's stability test; an exhausted budget taints the search and
+    counts as 'not shown stable'."""
     verdict = is_stable(f, search.budget)
     if verdict.is_unknown:
         search.tainted = True
-        return False
     return verdict.is_valid
 
 
@@ -113,68 +122,50 @@ def _b2_candidates(f: Formula) -> list[Term]:
     return out
 
 
+def _applications(f: Formula, search: _Search) -> Iterator[tuple[RuleApplication, list[Formula]]]:
+    """The rule applications the search tries on f, in order, each with its
+    premises; built lazily, so a success skips the rest."""
+    if _stable(f, search):
+        yield RULE_A, [req.formula for req in rule_a_premises(f)]
+    for occ in b1_targets(f):
+        for i in range(1, len(occ.quasiatom.parts) + 1):
+            rule = RuleApplication("B1", addr=occ.address, index=i)
+            yield rule, [rule_premise(f, rule)]
+    targets = b2_targets(f)
+    terms = _b2_candidates(f) if targets else []
+    for occ in targets:
+        for t in terms:
+            rule = RuleApplication("B2", addr=occ.address, term=t)
+            try:
+                premise = rule_premise(f, rule)
+            except ValueError:  # the scope side condition
+                continue
+            yield rule, [premise]
+    pairs = c_pairs(f)
+    if pairs:
+        elem = fresh_elem_name(letter_names(f) | {"T", "F"})
+        for pos, neg in pairs:
+            rule = RuleApplication("C", pos=pos.address, neg=neg.address, elem=elem)
+            yield rule, [rule_premise(f, rule)]
+
+
 def _prove(f: Formula, depth: int, search: _Search) -> _Derivation | None:
     if depth > search.max_depth:
         raise _DepthExceeded(
             f"recursion depth {depth} exceeds aggregate complexity bound {search.max_depth}"
         )
     search.observe(depth)
-
-    # Rule A
-    if _stable(f, search):
-        premises = rule_a_premises(f)
+    for rule, premises in _applications(f, search):
         children = []
-        for req in premises:
-            sub = _prove(req.formula, depth + 1, search)
+        for premise in premises:
+            sub = _prove(premise, depth + 1, search)
             if sub is None:
                 break
             children.append(sub)
         else:
-            search.note(depth, f"A: {pretty(f)}")
-            return _Derivation(f, RULE_A, children)
-
-    # Rule B1
-    for occ in b1_targets(f):
-        for i in range(1, len(occ.quasiatom.parts) + 1):
-            premise = replace_at(f, occ.address, occ.quasiatom.parts[i - 1])
-            sub = _prove(premise, depth + 1, search)
-            if sub is not None:
-                search.note(depth, f"B1[{i}]: {pretty(f)}")
-                return _Derivation(
-                    f, RuleApplication("B1", addr=occ.address, index=i), [sub]
-                )
-
-    # Rule B2
-    for occ in b2_targets(f):
-        for t in _b2_candidates(f):
-            if not b2_scope_ok(f, occ.address, t):
-                continue
-            qa = occ.quasiatom
-            premise = replace_at(f, occ.address, substitute(qa.body, qa.var, t))
-            sub = _prove(premise, depth + 1, search)
-            if sub is not None:
-                search.note(depth, f"B2[{t}]: {pretty(f)}")
-                return _Derivation(
-                    f, RuleApplication("B2", addr=occ.address, term=t), [sub]
-                )
-
-    # Rule C
-    taken = letter_names(f) | {"T", "F"}
-    for pos, neg in c_pairs(f):
-        letter = pos.quasiatom.letter
-        q = elem_letter(fresh_elem_name(taken), letter.arity)
-        premise = replace_at(f, pos.address, Atom(q, pos.quasiatom.args))
-        premise = replace_at(premise, neg.address, Atom(q, neg.quasiatom.args))
-        sub = _prove(premise, depth + 1, search)
-        if sub is not None:
-            search.note(depth, f"C[{q.name}]: {pretty(f)}")
-            return _Derivation(
-                f,
-                RuleApplication("C", pos=pos.address, neg=neg.address, elem=q.name),
-                [sub],
-            )
-
-    search.note(depth, f"fail: {pretty(f)}")
+            search.note(depth, f, rule)
+            return _Derivation(f, rule, children)
+    search.note(depth, f)
     return None
 
 

@@ -36,11 +36,14 @@ from .syntax import (
     ParOr,
     addr_str,
     apply_valuation,
+    atoms,
     free_variables,
     is_blind_free,
     is_reasonable,
     parse,
     pretty,
+    replace_at,
+    resolve,
     substitute,
     surface_occurrences,
 )
@@ -88,8 +91,6 @@ def project(run: Run, addr: Address, mode: str = "raw", of: Formula | None = Non
     if mode == "signed":
         if of is None:
             raise ValueError("signed projection needs the enclosing formula")
-        from .syntax import resolve
-
         occ = resolve(of, addr)
         raw = project(run, addr, "raw")
         return negate_run(raw) if occ.polarity < 0 else raw
@@ -111,8 +112,6 @@ class GeneralDef:
     def __post_init__(self) -> None:
         if not is_blind_free(self.body):
             raise ValueError("defining formulas must be blind-free")
-        from .syntax import atoms
-
         for a in atoms(self.body):
             if a.letter.kind != "elementary":
                 raise ValueError("defining formulas range over elementary letters only")
@@ -515,8 +514,6 @@ def residual(
             component = _choice_component(qa, payload, interp.universe)
             if component is None:
                 raise ValueError(f"move {m.move!r} selects no component")
-            from .syntax import replace_at
-
             current = replace_at(current, occ.address, component)
     return ResidualState(
         current, tuple(sorted((a, tuple(ms)) for a, ms in stored.items()))

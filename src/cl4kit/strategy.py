@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import Proof, ProofStep, check_proof
+from .calculus import Proof, check_proof, match_a_premise, rule_a_premises
 from .classical import Budget
 from .games import (
     BOT_PLAYER,
@@ -34,11 +34,8 @@ from .games import (
     winner,
 )
 from .syntax import (
-    Address,
     Atom,
-    ChoAll,
     ChoAnd,
-    ChoEx,
     ChoOr,
     Const,
     Formula,
@@ -48,11 +45,9 @@ from .syntax import (
     free_variables,
     general_dehybridization,
     is_blind_free,
+    is_choice,
     is_reasonable,
     pretty,
-    replace_at,
-    substitute,
-    variables,
 )
 
 
@@ -120,38 +115,6 @@ class PlayTranscript:
 
 class StrategyError(ValueError):
     pass
-
-
-def _premise_for_choice(
-    proof: Proof, step: ProofStep, expected: Formula
-) -> ProofStep | None:
-    for pid in step.premises:
-        p = proof.step(pid)
-        if p.formula == expected:
-            return p
-    return None
-
-
-def _premise_for_constant(
-    proof: Proof, step: ProofStep, e: Formula, addr: Address
-) -> tuple[ProofStep, str] | None:
-    """The Rule A premise reflecting a quantifier choice at addr: the step
-    whose formula is e with the quantifier body on a variable fresh for e.
-    Returns the step and that variable."""
-    from .syntax import resolve
-
-    qa = resolve(e, addr).quasiatom
-    e_vars = variables(e)
-    for pid in step.premises:
-        p = proof.step(pid)
-        for y in sorted(variables(p.formula) - e_vars):
-            body = substitute(qa.body, qa.var, Var(y))
-            if replace_at(e, addr, body) == p.formula:
-                return p, y
-        if qa.var not in free_variables(qa.body):
-            if replace_at(e, addr, qa.body) == p.formula:
-                return p, qa.var
-    return None
 
 
 def extract_and_play(
@@ -303,43 +266,34 @@ def extract_and_play(
             record("inner", "env-hybrid", state, theta_before, [env_move, reply])
             continue
 
-        if isinstance(qa, (ChoAnd, ChoOr)):
+        if is_choice(qa):
             if env_move.player != choice_mover(qa, occ.polarity):
                 theta.append(env_move)
                 return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
-            i = int(payload)
-            expected = replace_at(current.formula, occ.address, qa.parts[i - 1])
-            premise = _premise_for_choice(proof, current, expected)
-            if premise is None:
-                return finish(
-                    ABORTED,
-                    f"no premise of step {current.id} matches {pretty(expected)}",
-                )
-            theta.append(env_move)
-            keep = free_variables(premise.formula)
-            for z in list(valuation):
-                if z not in keep:
-                    del valuation[z]
-            current = premise
-            record("inner", "env-choice", state, theta_before, [env_move])
-            continue
-
-        if isinstance(qa, (ChoAll, ChoEx)):
-            if env_move.player != choice_mover(qa, occ.polarity):
-                theta.append(env_move)
-                return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
-            c = int(payload)
-            found = _premise_for_constant(proof, current, current.formula, occ.address)
+            # the required premises for this occurrence, read off the proof's
+            # formula (K has the valuation applied)
+            required = [
+                r for r in rule_a_premises(current.formula) if r.occurrence.address == occ.address
+            ]
+            req = required[int(payload) - 1 if isinstance(qa, (ChoAnd, ChoOr)) else 0]
+            premises = [proof.step(pid) for pid in current.premises]
+            found = match_a_premise(current.formula, req, [p.formula for p in premises])
             if found is None:
                 return finish(
-                    ABORTED, f"no quantifier premise of step {current.id} found"
+                    ABORTED, f"no premise of step {current.id} matches {pretty(req.formula)}"
                 )
-            premise, y = found
+            premise, y = premises[found[0]], found[1]
             theta.append(env_move)
-            if y in free_variables(premise.formula):
-                valuation[y] = c
+            if y is None:
+                keep = free_variables(premise.formula)
+                for z in list(valuation):
+                    if z not in keep:
+                        del valuation[z]
+            elif y in free_variables(premise.formula):
+                valuation[y] = int(payload)
             current = premise
-            record("inner", "env-choice-const", state, theta_before, [env_move])
+            case = "env-choice" if y is None else "env-choice-const"
+            record("inner", case, state, theta_before, [env_move])
             continue
 
         theta.append(env_move)

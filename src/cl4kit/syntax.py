@@ -402,10 +402,6 @@ def free_variables(f: Formula) -> set[str]:
     return walk(f, frozenset())
 
 
-def is_closed(f: Formula) -> bool:
-    return not free_variables(f)
-
-
 def substitute(f: Formula, x: str, t: Term) -> Formula:
     """Replace every free occurrence of variable x by term t.
 
@@ -648,14 +644,10 @@ def fresh_elem_name(used: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _print_term(t: Term) -> str:
-    return str(t)
-
-
 def _atom_str(a: Atom) -> str:
     if not a.args:
         return a.letter.name
-    return f"{a.letter.name}({', '.join(_print_term(t) for t in a.args)})"
+    return f"{a.letter.name}({', '.join(str(t) for t in a.args)})"
 
 
 _QUANT_SYMBOL = {BlindAll: "A", BlindEx: "E", ChoAll: "!A", ChoEx: "!E"}

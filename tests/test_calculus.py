@@ -13,13 +13,15 @@ from cl4kit.calculus import (
     check_proof,
     check_step,
     make_reasonable,
+    match_a_premise,
     premises_A,
     proof_from_json,
     proof_to_json,
+    rule_a_premises,
     to_cl4o,
 )
 from cl4kit.classical import tautology_qf
-from cl4kit.syntax import Var, is_reasonable, parse, pretty
+from cl4kit.syntax import Const, Var, is_reasonable, parse, pretty
 
 from helpers import random_qf_elementary
 
@@ -83,7 +85,73 @@ class TestPremisesA:
         assert len(premises_A(f)) == 1
 
 
+class TestMatchAPremise:
+    def test_other_fresh_variable(self):
+        e = parse("!A x. !E y. (P(x) -> P(y))")
+        (req,) = rule_a_premises(e)
+        supplied = [parse("P(z) -> P(z)"), parse("!E y. (P(w) -> P(y))")]
+        assert match_a_premise(e, req, supplied) == (1, "w")
+        assert check_step(e, RULE_A, supplied) is None
+
+    def test_variable_of_the_conclusion_is_not_fresh(self):
+        e = parse("!A x. (P(x) -> P(z))")
+        (req,) = rule_a_premises(e)
+        assert match_a_premise(e, req, [parse("P(z) -> P(z)")]) is None
+
+    def test_vacuous_quantifier(self):
+        # the body has no free x, so the premise carries no variable to match
+        e = parse("!A x. (e1 -> e1)")
+        (req,) = rule_a_premises(e)
+        assert match_a_premise(e, req, [parse("e1 -> e2"), parse("e1 -> e1")]) == (1, "x")
+        assert match_a_premise(e, req, [parse("e1 -> e2")]) is None
+
+    def test_component(self):
+        e = parse("p !/\\ q")
+        req = rule_a_premises(e)[1]
+        assert match_a_premise(e, req, [parse("q"), parse("p")]) == (0, None)
+        assert match_a_premise(e, req, [parse("p")]) is None
+
+
 class TestCheckStep:
+    @pytest.mark.parametrize(
+        "conclusion, rule, premises, message",
+        [
+            (
+                "p !\\/ q",
+                RuleApplication("B1", addr=(), index=3),
+                ["p"],
+                "component index 3 out of range",
+            ),
+            (
+                "p !/\\ q",
+                RuleApplication("B1", addr=(), index=1),
+                ["p"],
+                "Rule B1 requires a negative cap or positive cup occurrence",
+            ),
+            (
+                "p !\\/ q",
+                RuleApplication("B2", addr=(), term=Const(0)),
+                ["p"],
+                "Rule B2 requires a negative cap-quantifier or positive cup-quantifier occurrence",
+            ),
+            (
+                "p \\/ (q !\\/ r)",
+                RuleApplication("B1", addr=(3,), index=1),
+                ["p \\/ q"],
+                "'address 3. does not resolve'",
+            ),
+            (
+                "p !\\/ q",
+                RuleApplication("B1", addr=(), index=1),
+                ["p", "p"],
+                "Rule B1 takes exactly one premise",
+            ),
+        ],
+        ids=["b1-index", "b1-positive-cap", "b2-connective", "bad-address", "b1-two-premises"],
+    )
+    def test_misapplication_message(self, conclusion, rule, premises, message):
+        assert check_step(parse(conclusion), rule, [parse(p) for p in premises]) == message
+
     def test_rule_c_on_identity(self):
         why = check_step(
             parse("P(z) -> P(z)"),

@@ -32,6 +32,14 @@ class TestDecide:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "text", ["(" * 150 + "P" + ")" * 150, "~" * 1000 + "P"], ids=["parens", "negations"]
+    )
+    def test_deep_input_exit_three(self, capsys, text):
+        code, _, err = run_cli(capsys, "decide", text)
+        assert code == 3
+        assert "nested too deeply" in err and "Traceback" not in err
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "P \\/ ~P", "--json")
         doc = json.loads(out)

@@ -147,6 +147,46 @@ class TestSpaceDiscipline:
         decide_blindfree(parse("P !\\/ ~P"), trace=trace)
         assert any("fail" in line for line in trace)
 
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            (
+                "(P !\\/ Q) -> (Q !\\/ P)",
+                [
+                    "      fail: P -> Q",
+                    "        A: a -> a",
+                    "      C[a]: P -> P",
+                    "    B1[2]: P -> Q !\\/ P",
+                    "        A: a -> a",
+                    "      C[a]: Q -> Q",
+                    "    B1[1]: Q -> Q !\\/ P",
+                    "  A: P !\\/ Q -> Q !\\/ P",
+                ],
+            ),
+            (
+                "!E y. (P(z) -> P(y))",
+                [
+                    "      A: a(z) -> a(z)",
+                    "    C[a]: P(z) -> P(z)",
+                    "  B2[z]: !E y. (P(z) -> P(y))",
+                ],
+            ),
+        ],
+    )
+    def test_trace_lines(self, text, lines):
+        trace = []
+        decide_blindfree(parse(text), trace=trace)
+        assert trace == lines
+
+    @pytest.mark.parametrize("clause", [6, 7])
+    def test_no_formatting_without_a_trace(self, monkeypatch, clause):
+        def refuse(f):
+            raise AssertionError("pretty called although no trace was asked for")
+
+        monkeypatch.setattr("cl4kit.decide.pretty", refuse)
+        text, expected = BLINDFREE[clause]
+        assert decide_blindfree(parse(text)).status == expected
+
 
 class TestBudgetTainting:
     def test_starved_budget_degrades_to_unknown(self):

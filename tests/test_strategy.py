@@ -275,3 +275,15 @@ class TestVacuousQuantifier:
         t = extract_and_play(proof, interp, ["1", "pass"])
         assert t.verdict == "machine-wins"
         assert assert_claim1(t, proof, interp).ok
+
+
+class TestChoiceAfterQuantifier:
+    def test_component_choice_mentions_the_chosen_constant(self):
+        # after the environment picks x = 1, the cap's components mention the
+        # proof's fresh variable; the engine must match them unground
+        proof = reasonable_proof("!A x. ((p(x) \\/ ~p(x)) !/\\ (p(x) -> p(x)))")
+        interp = Interpretation(universe=2, elementary={("p", (0,)): True})
+        for script in (["1", "1", "pass"], ["1", "2", "pass"], ["0", "2", "pass"]):
+            t = extract_and_play(proof, interp, script)
+            assert t.verdict == "machine-wins", (script, t.reason)
+            assert assert_claim1(t, proof, interp).ok
