@@ -17,19 +17,13 @@ from .games import BOT_PLAYER, TOP_PLAYER, choice_mover
 from .syntax import (
     Address,
     Atom,
-    BlindAll,
-    BlindEx,
     ChoAll,
     ChoAnd,
     ChoEx,
     ChoOr,
     Const,
     Formula,
-    Implies,
-    Neg,
     Occurrence,
-    ParAnd,
-    ParOr,
     Term,
     Var,
     addr_str,
@@ -51,6 +45,7 @@ from .syntax import (
     resolve,
     substitute,
     surface_occurrences,
+    surface_path,
     variables,
 )
 
@@ -258,21 +253,8 @@ def match_a_premise(
 def _binders_on_path(e: Formula, addr: Address) -> set[str]:
     """Variables bound by quantifiers on the path from the root to the
     quasiatom at addr (only blind quantifiers can occur on such a path)."""
-    node, rest, bound = e, list(addr), set()
-    while True:
-        if isinstance(node, Neg):
-            node = node.body
-        elif isinstance(node, (BlindAll, BlindEx)):
-            bound.add(node.var)
-            node = node.body
-        elif isinstance(node, (ParAnd, ParOr)):
-            i = rest.pop(0)
-            node = node.parts[i - 1]
-        elif isinstance(node, Implies):
-            i = rest.pop(0)
-            node = node.lhs if i == 1 else node.rhs
-        else:
-            return bound
+    steps, _ = surface_path(e, iter(addr))
+    return {node.bound_var for node, _ in steps if node.bound_var is not None}
 
 
 def _free_occurrence_binders(g: Formula, x: str) -> list[set[str]]:
@@ -284,18 +266,11 @@ def _free_occurrence_binders(g: Formula, x: str) -> list[set[str]]:
         if isinstance(node, Atom):
             if any(isinstance(t, Var) and t.name == x for t in node.args) and x not in bound:
                 out.append(set(bound))
-        elif isinstance(node, Neg):
-            walk(node.body, bound)
-        elif isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            for p in node.parts:
-                walk(p, bound)
-        elif isinstance(node, Implies):
-            walk(node.lhs, bound)
-            walk(node.rhs, bound)
-        elif isinstance(node, (BlindAll, BlindEx, ChoAll, ChoEx)):
-            walk(node.body, bound | {node.var})
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
+            return
+        if node.bound_var is not None:
+            bound = bound | {node.bound_var}
+        for child in node.children:
+            walk(child, bound)
 
     walk(g, frozenset())
     return out
@@ -321,7 +296,7 @@ def _resolve(e: Formula, addr: Address) -> Occurrence:
     try:
         return resolve(e, addr)
     except KeyError as ex:
-        raise ValueError(str(ex)) from None
+        raise ValueError(ex.args[0]) from None
 
 
 def rule_premise(e: Formula, rule: RuleApplication) -> Formula:
@@ -478,6 +453,10 @@ def _term_from_str(s: str) -> Term:
 
 
 def rule_from_json(tag: str, params: dict) -> RuleApplication:
+    if "index" in params and type(params["index"]) is not int:
+        raise ValueError(f"component index must be an integer, not {params['index']!r}")
+    if not all(isinstance(params.get(k, ""), str) for k in ("elem", "hybrid")):
+        raise ValueError("letter parameters must be strings")
     return RuleApplication(
         tag=tag,
         addr=parse_addr(params["addr"]) if "addr" in params else None,
@@ -507,16 +486,27 @@ def proof_to_json(proof: Proof) -> dict:
 
 
 def proof_from_json(doc: dict) -> Proof:
-    steps = [
-        ProofStep(
-            id=entry["id"],
-            formula=parse(entry["formula"]),
-            rule=rule_from_json(entry["rule"], entry.get("params", {})),
-            premises=tuple(entry.get("premises", ())),
-        )
-        for entry in doc["steps"]
-    ]
-    return Proof(system=doc["system"], steps=steps)
+    """Raises ValueError on a malformed document."""
+    if not isinstance(doc, dict):
+        raise ValueError("a proof document must be a JSON object")
+    try:
+        steps = [
+            ProofStep(
+                id=entry["id"],
+                formula=parse(entry["formula"]),
+                rule=rule_from_json(entry["rule"], entry.get("params", {})),
+                premises=tuple(entry.get("premises", ())),
+            )
+            for entry in doc["steps"]
+        ]
+        system = doc["system"]
+    except KeyError as ex:
+        raise ValueError(f"malformed proof document: missing {ex}") from None
+    except (AttributeError, TypeError) as ex:
+        raise ValueError(f"malformed proof document: {ex}") from None
+    if not all(type(i) is int for s in steps for i in (s.id, *s.premises)):
+        raise ValueError("malformed proof document: step ids and premises must be integers")
+    return Proof(system=system, steps=steps)
 
 
 def save_proof(proof: Proof, path: str) -> None:

@@ -325,7 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as ex:
         print(f"syntax error: {ex}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as ex:
+    except KeyError as ex:
+        print(f"error: {ex.args[0] if ex.args else ex}", file=sys.stderr)
+        return EXIT_ERROR
+    except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

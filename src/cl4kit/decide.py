@@ -74,7 +74,6 @@ class _DepthExceeded(AssertionError):
 
 @dataclass
 class _Search:
-    certified: bool
     budget: Budget
     max_depth: int
     tainted: bool = False
@@ -198,7 +197,6 @@ def _decide(
     if certified and not is_blind_free(f):
         raise ValueError("decide_blindfree rejects blind quantifiers; use decide_extended")
     search = _Search(
-        certified=certified,
         budget=budget,
         max_depth=aggregate_complexity(f) + 1,
         trace=trace,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .syntax import (
     Address,
@@ -45,7 +46,9 @@ from .syntax import (
     replace_at,
     resolve,
     substitute,
+    substitute_all,
     surface_occurrences,
+    surface_path,
 )
 
 TOP_PLAYER = "T"
@@ -143,10 +146,10 @@ class Interpretation:
         d = self.general[name]
         if len(args) != len(d.params):
             raise ValueError(f"letter {name} applied to {len(args)} arguments")
-        body = d.body
+        terms: dict[str, Const] = {}
         for p, c in zip(d.params, args):
-            body = substitute(body, p, Const(c))
-        return body
+            terms.setdefault(p, Const(c))  # a repeated parameter keeps its first argument
+        return substitute_all(d.body, terms)
 
     def to_json(self) -> dict:
         return {
@@ -163,19 +166,30 @@ class Interpretation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Interpretation":
-        elementary: dict[tuple[str, tuple[int, ...]], bool] = {}
-        for key, value in doc.get("elementary", {}).items():
-            m = re.fullmatch(r"([a-z][A-Za-z0-9_]*)(?:\(([\d,\s]*)\))?", key.strip())
-            if not m:
-                raise ValueError(f"bad elementary atom key {key!r}")
-            name, argstr = m.group(1), m.group(2)
-            args = tuple(int(s) for s in argstr.split(",")) if argstr else ()
-            elementary[(name, args)] = bool(value)
-        general = {
-            name: GeneralDef(tuple(entry["params"]), parse(entry["body"]))
-            for name, entry in doc.get("general", {}).items()
-        }
-        return cls(doc.get("universe", 1), elementary, general)
+        """Raises ValueError on a malformed document."""
+        if not isinstance(doc, dict):
+            raise ValueError("an interpretation must be a JSON object")
+        try:
+            elementary: dict[tuple[str, tuple[int, ...]], bool] = {}
+            for key, value in doc.get("elementary", {}).items():
+                m = re.fullmatch(r"([a-z][A-Za-z0-9_]*)(?:\(([\d,\s]*)\))?", key.strip())
+                if not m:
+                    raise ValueError(f"bad elementary atom key {key!r}")
+                name, argstr = m.group(1), m.group(2)
+                args = tuple(int(s) for s in argstr.split(",")) if argstr else ()
+                elementary[(name, args)] = bool(value)
+            general = {
+                name: GeneralDef(tuple(entry["params"]), parse(entry["body"]))
+                for name, entry in doc.get("general", {}).items()
+            }
+            universe = doc.get("universe", 1)
+        except KeyError as ex:
+            raise ValueError(f"malformed interpretation: missing {ex}") from None
+        except (AttributeError, TypeError) as ex:
+            raise ValueError(f"malformed interpretation: {ex}") from None
+        if type(universe) is not int:
+            raise ValueError(f"universe must be an integer, not {universe!r}")
+        return cls(universe, elementary, general)
 
 
 def load_interpretation(path: str) -> Interpretation:
@@ -188,6 +202,15 @@ def run_to_json(run: Run) -> list[dict]:
 
 
 def run_from_json(doc: list) -> Run:
+    """Raises ValueError unless doc is a list of {"player", "move"} objects
+    with string values."""
+    if not isinstance(doc, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("player"), str)
+        and isinstance(entry.get("move"), str)
+        for entry in doc
+    ):
+        raise ValueError('a run must be a JSON list of {"player": ..., "move": ...} strings')
     return tuple(LabMove(entry["player"], entry["move"]) for entry in doc)
 
 
@@ -208,32 +231,12 @@ def parse_move(f: Formula, move: str) -> tuple[Occurrence, str] | None:
     """Resolve a move string against f: walk parallel structure by its
     leading `i.` tokens, stop at the first quasiatom, return it plus the
     remaining payload.  None when the string does not resolve."""
-    node, pol, addr, rest = f, 1, (), move
-    while True:
-        if isinstance(node, Neg):
-            node, pol = node.body, -pol
-        elif isinstance(node, (BlindAll, BlindEx)):
-            node = node.body
-        elif isinstance(node, (ParAnd, ParOr, Implies)):
-            m = _INDEX_RE.match(rest)
-            if not m:
-                return None
-            i = int(m.group(1))
-            if isinstance(node, Implies):
-                if i == 1:
-                    node, pol = node.lhs, -pol
-                elif i == 2:
-                    node = node.rhs
-                else:
-                    return None
-            else:
-                if not 1 <= i <= len(node.parts):
-                    return None
-                node = node.parts[i - 1]
-            addr = addr + (i,)
-            rest = rest[m.end():]
-        else:
-            return Occurrence(addr, node, pol), rest
+    indices = map(int, takewhile(str.isdecimal, move.split(".")[:-1]))
+    try:
+        _, occ = surface_path(f, indices)
+    except KeyError:
+        return None
+    return occ, move.split(".", len(occ.address))[-1]
 
 
 def choice_mover(qa: Formula, polarity: int) -> str:
@@ -274,12 +277,8 @@ def _ground(f: Formula, valuation: dict[str, int] | None) -> Formula:
 def _route(node: Formula, run: Run) -> list[Run] | None:
     """Split a run among the children of a parallel node; None when some
     move does not route.  Antecedent subruns come back negated."""
-    groups: list[list[LabMove]]
-    if isinstance(node, Implies):
-        width = 2
-    else:
-        width = len(node.parts)
-    groups = [[] for _ in range(width)]
+    width = len(node.children)
+    groups: list[list[LabMove]] = [[] for _ in range(width)]
     for m in run:
         im = _INDEX_RE.match(m.move)
         if not im:
@@ -307,8 +306,7 @@ def _legal(f: Formula, run: Run, interp: Interpretation) -> bool:
         routed = _route(f, run)
         if routed is None:
             return False
-        children = [f.lhs, f.rhs] if isinstance(f, Implies) else list(f.parts)
-        return all(_legal(c, r, interp) for c, r in zip(children, routed))
+        return all(_legal(c, r, interp) for c, r in zip(f.children, routed))
     if isinstance(f, (BlindAll, BlindEx)):
         return _legal(substitute(f.body, f.var, Const(0)), run, interp)
     # choice node, positive view: the environment resolves caps, the
@@ -346,8 +344,7 @@ def _win(f: Formula, run: Run, interp: Interpretation) -> bool:
         return not _win(f.body, negate_run(run), interp)
     if isinstance(f, (ParAnd, ParOr, Implies)):
         routed = _route(f, run)
-        children = [f.lhs, f.rhs] if isinstance(f, Implies) else list(f.parts)
-        values = [_win(c, r, interp) for c, r in zip(children, routed)]
+        values = [_win(c, r, interp) for c, r in zip(f.children, routed)]
         if isinstance(f, ParAnd):
             return all(values)
         if isinstance(f, ParOr):
@@ -546,9 +543,8 @@ def legal_moves(
             return collect(node.body, negate_run(sub), flip(who))
         if isinstance(node, (ParAnd, ParOr, Implies)):
             routed = _route(node, sub)
-            children = [node.lhs, node.rhs] if isinstance(node, Implies) else list(node.parts)
             out = []
-            for i, (child, r) in enumerate(zip(children, routed), start=1):
+            for i, (child, r) in enumerate(zip(node.children, routed), start=1):
                 w = flip(who) if isinstance(node, Implies) and i == 1 else who
                 out.extend(f"{i}.{m}" for m in collect(child, r, w))
             return out

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from operator import attrgetter, is_
+from typing import Callable, Iterable, Iterator, Union
 
 ELEMENTARY = "elementary"
 GENERAL = "general"
@@ -95,10 +96,35 @@ def hybrid_letter(general: str, elementary: str, arity: int = 0) -> Letter:
 # ---------------------------------------------------------------------------
 
 
+# A node's role on the surface, the part of a formula outside every choice
+# subformula: quasiatoms (atoms and choice nodes) end the surface, negations
+# and blind quantifiers are transparent, and each parallel connective
+# consumes one address index to pick its child.
+QUASIATOM = "quasiatom"
+TRANSPARENT = "transparent"
+PARALLEL = "parallel"
+
+
 class Formula:
-    """Base class for hyperformula nodes."""
+    """Base class for hyperformula nodes.
+
+    Every node class states its shape, which the generic walkers read
+    instead of testing node kinds: ``children`` (the immediate subformulas,
+    in address order), ``rebuild(children)`` (the same node over new
+    children), ``signs`` (each child's polarity relative to the node's: -1
+    for a negation's body and an implication's antecedent, else 1),
+    ``bound_var`` (the variable a quantifier binds, else None) and
+    ``surface`` (its surface role).
+    """
 
     __slots__ = ()
+    children: tuple[Formula, ...] = ()
+    signs: tuple[int, ...] = ()
+    bound_var: str | None = None
+    surface = QUASIATOM
+
+    def rebuild(self, children: Iterable[Formula]) -> Formula:
+        return self
 
 
 @dataclass(frozen=True)
@@ -118,23 +144,50 @@ class Atom(Formula):
 class Neg(Formula):
     body: Formula
 
+    signs = (-1,)
+    surface = TRANSPARENT
+
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+    def rebuild(self, children: Iterable[Formula]) -> Formula:
+        (body,) = children
+        return Neg(body)
+
 
 @dataclass(frozen=True)
-class ParAnd(Formula):
+class _Chain(Formula):
+    """An n-ary connective; its parts are its children."""
+
     parts: tuple[Formula, ...]
+
+    _name = "connective"
 
     def __post_init__(self) -> None:
         if len(self.parts) < 2:
-            raise ValueError("parallel conjunction needs at least 2 parts")
+            raise ValueError(f"{self._name} needs at least 2 parts")
+
+    children = property(attrgetter("parts"))
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return (1,) * len(self.parts)
+
+    def rebuild(self, children: Iterable[Formula]) -> Formula:
+        return type(self)(tuple(children))
 
 
 @dataclass(frozen=True)
-class ParOr(Formula):
-    parts: tuple[Formula, ...]
+class ParAnd(_Chain):
+    _name = "parallel conjunction"
+    surface = PARALLEL
 
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
-            raise ValueError("parallel disjunction needs at least 2 parts")
+
+@dataclass(frozen=True)
+class ParOr(_Chain):
+    _name = "parallel disjunction"
+    surface = PARALLEL
 
 
 @dataclass(frozen=True)
@@ -142,47 +195,63 @@ class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
+    signs = (-1, 1)
+    surface = PARALLEL
 
-@dataclass(frozen=True)
-class ChoAnd(Formula):
-    parts: tuple[Formula, ...]
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.lhs, self.rhs)
 
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
-            raise ValueError("choice conjunction needs at least 2 parts")
-
-
-@dataclass(frozen=True)
-class ChoOr(Formula):
-    parts: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
-            raise ValueError("choice disjunction needs at least 2 parts")
+    def rebuild(self, children: Iterable[Formula]) -> Formula:
+        lhs, rhs = children
+        return Implies(lhs, rhs)
 
 
 @dataclass(frozen=True)
-class BlindAll(Formula):
+class ChoAnd(_Chain):
+    _name = "choice conjunction"
+
+
+@dataclass(frozen=True)
+class ChoOr(_Chain):
+    _name = "choice disjunction"
+
+
+@dataclass(frozen=True)
+class _Quantifier(Formula):
     var: str
     body: Formula
 
+    signs = (1,)
+    bound_var = property(attrgetter("var"))
+
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+    def rebuild(self, children: Iterable[Formula]) -> Formula:
+        (body,) = children
+        return type(self)(self.var, body)
+
 
 @dataclass(frozen=True)
-class BlindEx(Formula):
-    var: str
-    body: Formula
+class BlindAll(_Quantifier):
+    surface = TRANSPARENT
 
 
 @dataclass(frozen=True)
-class ChoAll(Formula):
-    var: str
-    body: Formula
+class BlindEx(_Quantifier):
+    surface = TRANSPARENT
 
 
 @dataclass(frozen=True)
-class ChoEx(Formula):
-    var: str
-    body: Formula
+class ChoAll(_Quantifier):
+    pass
+
+
+@dataclass(frozen=True)
+class ChoEx(_Quantifier):
+    pass
 
 
 TOP = Atom(elem_letter("T"))
@@ -227,100 +296,91 @@ class Occurrence:
     polarity: int  # +1 positive, -1 negative
 
 
+def surface_path(
+    f: Formula, indices: Iterator[int]
+) -> tuple[list[tuple[Formula, int]], Occurrence]:
+    """Descend the surface of f to a quasiatom, taking the next index from
+    `indices` at every parallel node.  Returns the nodes passed, each with
+    the child taken, and the quasiatom reached with its address and
+    polarity; indices past the quasiatom stay in the iterator.  Raises
+    KeyError when the indices run out at a parallel node or name no child."""
+    node, pol, addr, steps = f, 1, (), []
+    while node.surface is not QUASIATOM:
+        children, i = node.children, 1
+        if node.surface is PARALLEL:
+            i = next(indices, None)
+            if i is None:
+                raise KeyError("stops at a parallel node")
+            if not 1 <= i <= len(children):
+                raise KeyError("does not resolve")
+            addr += (i,)
+        steps.append((node, i))
+        node, pol = children[i - 1], pol * node.signs[i - 1]
+    return steps, Occurrence(addr, node, pol)
+
+
 def surface_occurrences(f: Formula) -> list[Occurrence]:
     """All quasiatoms of f with address and polarity, left to right."""
 
     out: list[Occurrence] = []
 
     def walk(node: Formula, addr: Address, pol: int) -> None:
-        if is_quasiatom(node):
+        if node.surface is QUASIATOM:
             out.append(Occurrence(addr, node, pol))
-        elif isinstance(node, Neg):
-            walk(node.body, addr, -pol)
-        elif isinstance(node, (BlindAll, BlindEx)):
-            walk(node.body, addr, pol)
-        elif isinstance(node, (ParAnd, ParOr)):
-            for i, part in enumerate(node.parts, start=1):
-                walk(part, addr + (i,), pol)
-        elif isinstance(node, Implies):
-            walk(node.lhs, addr + (1,), -pol)
-            walk(node.rhs, addr + (2,), pol)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
+        elif node.surface is TRANSPARENT:
+            walk(node.children[0], addr, pol * node.signs[0])
+        else:
+            for i, (child, sign) in enumerate(zip(node.children, node.signs), start=1):
+                walk(child, addr + (i,), pol * sign)
 
     walk(f, (), 1)
     return out
 
 
+def _follow(f: Formula, addr: Address) -> tuple[list[tuple[Formula, int]], Occurrence]:
+    """surface_path along exactly the indices of addr."""
+    rest = iter(addr)
+    try:
+        steps, occ = surface_path(f, rest)
+    except KeyError as ex:
+        raise KeyError(f"address {addr_str(addr)} {ex.args[0]}") from None
+    if next(rest, None) is not None:
+        raise KeyError(f"address {addr_str(addr)} overshoots a quasiatom")
+    return steps, occ
+
+
 def resolve(f: Formula, addr: Address) -> Occurrence:
     """The quasiatom addressed by addr (negation and blind quantifiers are
     transparent; only parallel connectives consume indices)."""
-
-    node, pol, rest = f, 1, list(addr)
-    while True:
-        if isinstance(node, Neg):
-            node, pol = node.body, -pol
-        elif isinstance(node, (BlindAll, BlindEx)):
-            node = node.body
-        elif isinstance(node, (ParAnd, ParOr, Implies)):
-            if not rest:
-                raise KeyError(f"address {addr_str(addr)} stops at a parallel node")
-            i = rest.pop(0)
-            if isinstance(node, Implies):
-                if i == 1:
-                    node, pol = node.lhs, -pol
-                elif i == 2:
-                    node = node.rhs
-                else:
-                    raise KeyError(f"address {addr_str(addr)} does not resolve")
-            else:
-                if not 1 <= i <= len(node.parts):
-                    raise KeyError(f"address {addr_str(addr)} does not resolve")
-                node = node.parts[i - 1]
-        elif is_quasiatom(node):
-            if rest:
-                raise KeyError(f"address {addr_str(addr)} overshoots a quasiatom")
-            return Occurrence(addr, node, pol)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
+    return _follow(f, addr)[1]
 
 
 def replace_at(f: Formula, addr: Address, new: Formula) -> Formula:
     """f with the quasiatom at addr replaced by new."""
+    steps, _ = _follow(f, addr)
+    for node, i in reversed(steps):
+        children = list(node.children)
+        children[i - 1] = new
+        new = node.rebuild(children)
+    return new
 
-    def rebuild(node: Formula, rest: tuple[int, ...]) -> Formula:
-        if isinstance(node, Neg):
-            return Neg(rebuild(node.body, rest))
-        if isinstance(node, BlindAll):
-            return BlindAll(node.var, rebuild(node.body, rest))
-        if isinstance(node, BlindEx):
-            return BlindEx(node.var, rebuild(node.body, rest))
-        if isinstance(node, (ParAnd, ParOr)):
-            if not rest:
-                raise KeyError(f"address {addr_str(addr)} stops at a parallel node")
-            i = rest[0]
-            if not 1 <= i <= len(node.parts):
-                raise KeyError(f"address {addr_str(addr)} does not resolve")
-            parts = tuple(
-                rebuild(p, rest[1:]) if j == i else p
-                for j, p in enumerate(node.parts, start=1)
-            )
-            return type(node)(parts)
-        if isinstance(node, Implies):
-            if not rest:
-                raise KeyError(f"address {addr_str(addr)} stops at a parallel node")
-            if rest[0] == 1:
-                return Implies(rebuild(node.lhs, rest[1:]), node.rhs)
-            if rest[0] == 2:
-                return Implies(node.lhs, rebuild(node.rhs, rest[1:]))
-            raise KeyError(f"address {addr_str(addr)} does not resolve")
-        if is_quasiatom(node):
-            if rest:
-                raise KeyError(f"address {addr_str(addr)} overshoots a quasiatom")
+
+def rewrite(f: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:
+    """Top-down map over f: fn(node) returns the node's replacement, or
+    None to keep the node and rewrite its children.  A node whose children
+    all come back unchanged is kept, not rebuilt."""
+
+    def walk(node: Formula) -> Formula:
+        new = fn(node)
+        if new is not None:
             return new
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+        children = node.children
+        new_children = tuple(map(walk, children))
+        if all(map(is_, new_children, children)):
+            return node
+        return node.rebuild(new_children)
 
-    return rebuild(f, tuple(addr))
+    return walk(f)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +390,8 @@ def replace_at(f: Formula, addr: Address, new: Formula) -> Formula:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
-    if isinstance(f, Neg):
-        yield from subformulas(f.body)
-    elif isinstance(f, (ParAnd, ParOr, ChoAnd, ChoOr)):
-        for p in f.parts:
-            yield from subformulas(p)
-    elif isinstance(f, Implies):
-        yield from subformulas(f.lhs)
-        yield from subformulas(f.rhs)
-    elif isinstance(f, _QUANTS):
-        yield from subformulas(f.body)
+    for child in f.children:
+        yield from subformulas(child)
 
 
 def atoms(f: Formula) -> Iterator[Atom]:
@@ -370,8 +422,8 @@ def variables(f: Formula) -> set[str]:
     for g in subformulas(f):
         if isinstance(g, Atom):
             out.update(t.name for t in g.args if isinstance(t, Var))
-        elif isinstance(g, _QUANTS):
-            out.add(g.var)
+        elif g.bound_var is not None:
+            out.add(g.bound_var)
     return out
 
 
@@ -383,23 +435,37 @@ def constants(f: Formula) -> set[int]:
 
 
 def free_variables(f: Formula) -> set[str]:
-    def walk(node: Formula, bound: frozenset[str]) -> set[str]:
-        if isinstance(node, Atom):
-            return {t.name for t in node.args if isinstance(t, Var) and t.name not in bound}
-        if isinstance(node, Neg):
-            return walk(node.body, bound)
-        if isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            out: set[str] = set()
-            for p in node.parts:
-                out |= walk(p, bound)
-            return out
-        if isinstance(node, Implies):
-            return walk(node.lhs, bound) | walk(node.rhs, bound)
-        if isinstance(node, _QUANTS):
-            return walk(node.body, bound | {node.var})
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+    out: set[str] = set()
 
-    return walk(f, frozenset())
+    def walk(node: Formula, bound: frozenset[str]) -> None:
+        if isinstance(node, Atom):
+            out.update(t.name for t in node.args if isinstance(t, Var) and t.name not in bound)
+            return
+        if node.bound_var is not None:
+            bound = bound | {node.bound_var}
+        for child in node.children:
+            walk(child, bound)
+
+    walk(f, frozenset())
+    return out
+
+
+def substitute_all(f: Formula, terms: dict[str, Term]) -> Formula:
+    """Replace every free occurrence of each variable in terms by its term,
+    all at once, in one pass."""
+    if not terms:
+        return f
+
+    def fn(node: Formula) -> Formula | None:
+        if isinstance(node, Atom):
+            args = tuple(terms.get(a.name, a) if isinstance(a, Var) else a for a in node.args)
+            return Atom(node.letter, args) if args != node.args else node
+        if node.bound_var in terms:
+            rest = {y: t for y, t in terms.items() if y != node.bound_var}
+            return node.rebuild((substitute_all(node.body, rest),)) if rest else node
+        return None
+
+    return rewrite(f, fn)
 
 
 def substitute(f: Formula, x: str, t: Term) -> Formula:
@@ -408,33 +474,13 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     Plain textual substitution; callers that substitute a variable are
     responsible for capture (the proof rules' side conditions rule it out).
     """
-
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            args = tuple(t if isinstance(a, Var) and a.name == x else a for a in node.args)
-            return Atom(node.letter, args) if args != node.args else node
-        if isinstance(node, Neg):
-            return Neg(walk(node.body))
-        if isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            return type(node)(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Implies):
-            return Implies(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, _QUANTS):
-            if node.var == x:
-                return node
-            return type(node)(node.var, walk(node.body))
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-    return walk(f)
+    return substitute_all(f, {x: t})
 
 
 def apply_valuation(f: Formula, valuation: dict[str, int]) -> Formula:
     """Replace every free variable by the constant the valuation assigns to
     it (unmapped variables read as 0)."""
-    out = f
-    for x in sorted(free_variables(f)):
-        out = substitute(out, x, Const(valuation.get(x, 0)))
-    return out
+    return substitute_all(f, {x: Const(valuation.get(x, 0)) for x in free_variables(f)})
 
 
 def is_elementary(f: Formula) -> bool:
@@ -464,36 +510,18 @@ def aggregate_complexity(f: Formula) -> int:
     """
     if isinstance(f, Atom):
         return 1 if f.letter.kind == GENERAL else 0
-    if isinstance(f, Neg):
-        return 1 + aggregate_complexity(f.body)
-    if isinstance(f, (ParAnd, ParOr, ChoAnd, ChoOr)):
-        return len(f.parts) - 1 + sum(aggregate_complexity(p) for p in f.parts)
-    if isinstance(f, Implies):
-        return 1 + aggregate_complexity(f.lhs) + aggregate_complexity(f.rhs)
-    if isinstance(f, _QUANTS):
-        return 1 + aggregate_complexity(f.body)
-    raise TypeError(f"unknown node {f!r}")  # pragma: no cover
+    return max(1, len(f.children) - 1) + sum(map(aggregate_complexity, f.children))
 
 
 def general_dehybridization(f: Formula) -> Formula:
     """Replace every hybrid letter by its general component."""
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            if node.letter.kind == HYBRID:
-                return Atom(gen_letter(node.letter.general, node.letter.arity), node.args)
-            return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.body))
-        if isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            return type(node)(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Implies):
-            return Implies(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, _QUANTS):
-            return type(node)(node.var, walk(node.body))
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+    def fn(node: Formula) -> Formula | None:
+        if isinstance(node, Atom) and node.letter.kind == HYBRID:
+            return Atom(gen_letter(node.letter.general, node.letter.arity), node.args)
+        return None
 
-    return walk(f)
+    return rewrite(f, fn)
 
 
 def replace_letter(f: Formula, old: Letter, new: Letter) -> Formula:
@@ -501,20 +529,12 @@ def replace_letter(f: Formula, old: Letter, new: Letter) -> Formula:
     if old.arity != new.arity:
         raise ValueError("letters must have the same arity")
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            return Atom(new, node.args) if node.letter == old else node
-        if isinstance(node, Neg):
-            return Neg(walk(node.body))
-        if isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            return type(node)(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Implies):
-            return Implies(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, _QUANTS):
-            return type(node)(node.var, walk(node.body))
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+    def fn(node: Formula) -> Formula | None:
+        if isinstance(node, Atom) and node.letter == old:
+            return Atom(new, node.args)
+        return None
 
-    return walk(f)
+    return rewrite(f, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -539,23 +559,13 @@ def _letter_occurrences(f: Formula) -> list[tuple[Atom, int, frozenset[str]]]:
     def walk(node: Formula, pol: int, bound: frozenset[str], surface: bool) -> None:
         if isinstance(node, Atom):
             out.append((node, pol if surface else 0, bound))
-        elif isinstance(node, Neg):
-            walk(node.body, -pol, bound, surface)
-        elif isinstance(node, (ParAnd, ParOr)):
-            for p in node.parts:
-                walk(p, pol, bound, surface)
-        elif isinstance(node, Implies):
-            walk(node.lhs, -pol, bound, surface)
-            walk(node.rhs, pol, bound, surface)
-        elif isinstance(node, (BlindAll, BlindEx)):
-            walk(node.body, pol, bound | {node.var}, surface)
-        elif isinstance(node, (ChoAnd, ChoOr)):
-            for p in node.parts:
-                walk(p, pol, bound, False)
-        elif isinstance(node, (ChoAll, ChoEx)):
-            walk(node.body, pol, bound | {node.var}, False)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
+            return
+        if node.bound_var is not None:
+            bound = bound | {node.bound_var}
+        # below an atom, only a choice node is a quasiatom: it ends the surface
+        surface = surface and node.surface is not QUASIATOM
+        for child, sign in zip(node.children, node.signs):
+            walk(child, pol * sign, bound, surface)
 
     walk(f, 1, frozenset(), True)
     return out

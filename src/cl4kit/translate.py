@@ -14,22 +14,16 @@ from dataclasses import dataclass
 
 from .syntax import (
     Atom,
-    BlindAll,
-    BlindEx,
-    ChoAll,
     ChoAnd,
-    ChoEx,
     ChoOr,
     Formula,
-    Implies,
-    Neg,
-    ParAnd,
-    ParOr,
     Term,
     elem_letter,
     gen_letter,
+    is_choice,
     is_formula,
     letter_names,
+    rewrite,
     subformulas,
 )
 
@@ -69,14 +63,25 @@ class MoleculeSignature:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MoleculeSignature":
-        names: dict[tuple[str, int, int], str] = {}
-        arities: dict[str, int] = {}
-        for p, entry in doc["letters"].items():
-            arities[p] = entry["arity"]
-            for key, name in entry["names"].items():
-                a, b = key.split(",")
-                names[(p, int(a), int(b))] = name
-        return cls(doc["m"], names, arities)
+        """Raises ValueError on a malformed document."""
+        if not isinstance(doc, dict):
+            raise ValueError("a molecule signature must be a JSON object")
+        try:
+            names: dict[tuple[str, int, int], str] = {}
+            arities: dict[str, int] = {}
+            for p, entry in doc["letters"].items():
+                arities[p] = entry["arity"]
+                for key, name in entry["names"].items():
+                    a, b = key.split(",")
+                    names[(p, int(a), int(b))] = name
+            m = doc["m"]
+        except KeyError as ex:
+            raise ValueError(f"malformed molecule signature: missing {ex}") from None
+        except (AttributeError, TypeError) as ex:
+            raise ValueError(f"malformed molecule signature: {ex}") from None
+        if not all(type(n) is int for n in (m, *arities.values())):
+            raise ValueError("malformed molecule signature: m and arities must be integers")
+        return cls(m, names, arities)
 
 
 def _general_occurrence_count(f: Formula) -> int:
@@ -120,22 +125,12 @@ def lift(f: Formula, sig: MoleculeSignature | None = None) -> Formula:
         raise ValueError("lifting is defined for hybrid-free formulas")
     sig = sig or signature_for(f)
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            if node.letter.kind == "general":
-                return sig.large(node.letter.name, node.args)
-            return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.body))
-        if isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            return type(node)(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Implies):
-            return Implies(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, (BlindAll, BlindEx, ChoAll, ChoEx)):
-            return type(node)(node.var, walk(node.body))
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+    def fn(node: Formula) -> Formula | None:
+        if isinstance(node, Atom) and node.letter.kind == "general":
+            return sig.large(node.letter.name, node.args)
+        return None
 
-    return walk(f)
+    return rewrite(f, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +203,9 @@ def independent_occurrences(e: Formula, sig: MoleculeSignature) -> list[Molecule
             p, a, b, args = small
             out.append(MoleculeOccurrence("small", p, a, b, args, pol, surface))
             return
-        if isinstance(node, Atom):
-            return
-        if isinstance(node, Neg):
-            walk(node.body, -pol, surface)
-        elif isinstance(node, (ParAnd, ParOr)):
-            for part in node.parts:
-                walk(part, pol, surface)
-        elif isinstance(node, Implies):
-            walk(node.lhs, -pol, surface)
-            walk(node.rhs, pol, surface)
-        elif isinstance(node, (BlindAll, BlindEx)):
-            walk(node.body, pol, surface)
-        elif isinstance(node, (ChoAnd, ChoOr)):
-            for part in node.parts:
-                walk(part, pol, False)
-        elif isinstance(node, (ChoAll, ChoEx)):
-            walk(node.body, pol, False)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
+        surface = surface and not is_choice(node)
+        for child, sign in zip(node.children, node.signs):
+            walk(child, pol * sign, surface)
 
     walk(e, 1, True)
     return out
@@ -242,7 +221,7 @@ def floorify(e: Formula, sig: MoleculeSignature) -> Formula:
             key = (occ.letter, occ.a, occ.b)
             small_counts[key] = small_counts.get(key, 0) + 1
 
-    def walk(node: Formula) -> Formula:
+    def fn(node: Formula) -> Formula | None:
         large = _match_large(node, sig)
         if large is not None:
             p, args = large
@@ -257,19 +236,9 @@ def floorify(e: Formula, sig: MoleculeSignature) -> Formula:
             if small_counts.get((p, a, b), 0) == 1:
                 return Atom(gen_letter(p, sig.arities[p]), args)
             return node
-        if isinstance(node, Atom):
-            return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.body))
-        if isinstance(node, (ParAnd, ParOr, ChoAnd, ChoOr)):
-            return type(node)(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Implies):
-            return Implies(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, (BlindAll, BlindEx, ChoAll, ChoEx)):
-            return type(node)(node.var, walk(node.body))
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+        return None
 
-    return walk(e)
+    return rewrite(e, fn)
 
 
 @dataclass(frozen=True)

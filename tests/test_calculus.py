@@ -138,7 +138,7 @@ class TestCheckStep:
                 "p \\/ (q !\\/ r)",
                 RuleApplication("B1", addr=(3,), index=1),
                 ["p \\/ q"],
-                "'address 3. does not resolve'",
+                "address 3. does not resolve",
             ),
             (
                 "p !\\/ q",

@@ -67,6 +67,46 @@ class TestCheck:
         assert json.loads(out)["ok"] is False
 
 
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (["check", "--proof", "{doc}"], []),
+            (["eval-run", "--formula", "P", "--moves", "[1]"], None),
+            (["eval-run", "--formula", "P", "--interp", "{doc}"], {"universe": "2"}),
+            (["translate", "floor", "P", "--signature", "{doc}"], []),
+            (
+                ["check", "--proof", "{doc}"],
+                {
+                    "system": "CL4",
+                    "steps": [
+                        {"id": 1, "formula": "q \\/ ~q", "rule": "A"},
+                        {
+                            "id": 2,
+                            "formula": "(q \\/ ~q) !\\/ q",
+                            "rule": "B1",
+                            "premises": [1],
+                            "params": {"addr": "", "index": "1"},
+                        },
+                    ],
+                },
+            ),
+        ],
+        ids=["proof", "moves", "interp-universe", "signature", "proof-index"],
+    )
+    def test_malformed_json_exit_three(self, capsys, tmp_path, argv, document):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, *(a.replace("{doc}", str(doc_path)) for a in argv))
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_key_error_is_not_quoted(self, capsys):
+        code, _, err = run_cli(capsys, "eval-run", "--formula", "P")
+        assert code == 3
+        assert err.strip() == "error: general letter P has no interpretation"
+
 class TestElementarize:
     def test_plain(self, capsys):
         code, out, _ = run_cli(capsys, "elementarize", "P \\/ ~P")

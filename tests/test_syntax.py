@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cl4kit.games import parse_move
 from cl4kit.syntax import (
+    TOP,
     Atom,
+    BlindAll,
     ChoAll,
     ChoEx,
     ChoOr,
@@ -17,18 +20,23 @@ from cl4kit.syntax import (
     ParseError,
     addr_str,
     aggregate_complexity,
+    apply_valuation,
+    free_variables,
     gen_letter,
     general_dehybridization,
     is_reasonable,
     parse,
     parse_addr,
     pretty,
+    replace_at,
     resolve,
+    rewrite,
+    subformulas,
     substitute,
     surface_occurrences,
 )
 
-from helpers import random_blindfree, random_qf_elementary
+from helpers import random_blindfree, random_game_formula, random_qf_elementary
 
 
 def rt(text):
@@ -193,6 +201,43 @@ class TestOccurrences:
                 flips = oracle(f, occ.address, 0)
                 assert occ.polarity == (1 if flips % 2 == 0 else -1)
 
+
+
+def _one_substitute_per_variable(f, valuation):
+    """apply_valuation written out as one substitute pass per free variable."""
+    out = f
+    for x in sorted(free_variables(f)):
+        out = substitute(out, x, Const(valuation.get(x, 0)))
+    return out
+
+
+def _open_up(f):
+    """f with the constants 0 and 1 read as the variables x and y, so that
+    some of them fall free and some under a quantifier binding x."""
+    return parse(pretty(f).replace("(0)", "(x)").replace("(1)", "(y)"))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_shared_descent_and_rewrite_agree(seed):
+    rng = random.Random(seed)
+    formulas = [random_blindfree(rng, depth=4) for _ in range(40)]
+    for with_blind, with_hybrids in ((True, False), (True, True), (False, True)):
+        for _ in range(40):
+            f, _ = random_game_formula(
+                rng, depth=4, with_blind=with_blind, with_hybrids=with_hybrids
+            )
+            formulas += [f, _open_up(f)]
+    assert any(isinstance(g, BlindAll) for f in formulas for g in subformulas(f))
+    assert any(free_variables(f) for f in formulas)
+    for f in formulas:
+        for occ in surface_occurrences(f):
+            assert resolve(f, occ.address) == occ
+            assert parse_move(f, addr_str(occ.address)) == (occ, "")
+            assert replace_at(f, occ.address, occ.quasiatom) == f
+            assert resolve(replace_at(f, occ.address, TOP), occ.address).quasiatom == TOP
+        assert rewrite(f, lambda node: None) == f
+        for valuation in ({}, {"x": 1}, {"x": 1, "y": 2}):
+            assert apply_valuation(f, valuation) == _one_substitute_per_variable(f, valuation)
 
 class TestAddresses:
     def test_rendering(self):
