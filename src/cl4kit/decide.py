@@ -12,6 +12,15 @@ In certified mode (blind-free input) stability is decided exactly, so the
 answer is never Unknown; the extension marks any branch whose stability
 check ran out of budget, and a failed search with a marked branch reports
 Unknown instead of Unprovable.
+
+Each decision memoizes the search by formula: a formula met again gets the
+derivation (or failure) found the first time.  The search's outcome on a
+formula depends on the formula alone, and the budget mark only ever goes
+from unset to set, so a cached failure from a marked branch is met only once
+the search is marked; verdicts and proofs are exactly those of the search
+without the memo.  The memo lives for one decision, and its memory grows
+with the number of distinct formulas that decision visits, where the
+paper's recursion needs space only for one branch.
 """
 
 from __future__ import annotations
@@ -72,6 +81,9 @@ class _DepthExceeded(AssertionError):
     pass
 
 
+_UNSEEN = object()  # memo lookup default: None is a cached failure
+
+
 @dataclass
 class _Search:
     budget: Budget
@@ -79,6 +91,7 @@ class _Search:
     tainted: bool = False
     trace: list[str] | None = None
     stats: dict | None = None
+    memo: dict[Formula, _Derivation | None] = field(default_factory=dict)
 
     def note(self, depth: int, f: Formula, rule: RuleApplication | None = None) -> None:
         """Trace line for f: the rule that proved it, or 'fail'.  Formatted
@@ -102,6 +115,10 @@ class _Search:
             self.stats["nodes"] = self.stats.get("nodes", 0) + 1
             self.stats["max_depth"] = max(self.stats.get("max_depth", 0), depth)
             self.stats["depth_bound"] = self.max_depth
+
+    def hit(self) -> None:
+        if self.stats is not None:
+            self.stats["memo_hits"] += 1
 
 
 def _stable(f: Formula, search: _Search) -> bool:
@@ -154,6 +171,11 @@ def _prove(f: Formula, depth: int, search: _Search) -> _Derivation | None:
             f"recursion depth {depth} exceeds aggregate complexity bound {search.max_depth}"
         )
     search.observe(depth)
+    cached = search.memo.get(f, _UNSEEN)
+    if cached is not _UNSEEN:
+        search.hit()
+        search.note(depth, f, None if cached is None else cached.rule)
+        return cached
     for rule, premises in _applications(f, search):
         children = []
         for premise in premises:
@@ -163,8 +185,10 @@ def _prove(f: Formula, depth: int, search: _Search) -> _Derivation | None:
             children.append(sub)
         else:
             search.note(depth, f, rule)
-            return _Derivation(f, rule, children)
+            search.memo[f] = derivation = _Derivation(f, rule, children)
+            return derivation
     search.note(depth, f)
+    search.memo[f] = None
     return None
 
 
@@ -202,6 +226,8 @@ def _decide(
         trace=trace,
         stats=stats,
     )
+    if stats is not None:
+        stats.setdefault("memo_hits", 0)
     derivation = _prove(f, 1, search)
     if derivation is not None:
         return Decision("provable", _linearize(derivation))

@@ -113,6 +113,8 @@ class GeneralDef:
     body: Formula
 
     def __post_init__(self) -> None:
+        if len(set(self.params)) != len(self.params):
+            raise ValueError(f"repeated parameter in {list(self.params)}")
         if not is_blind_free(self.body):
             raise ValueError("defining formulas must be blind-free")
         for a in atoms(self.body):
@@ -146,10 +148,7 @@ class Interpretation:
         d = self.general[name]
         if len(args) != len(d.params):
             raise ValueError(f"letter {name} applied to {len(args)} arguments")
-        terms: dict[str, Const] = {}
-        for p, c in zip(d.params, args):
-            terms.setdefault(p, Const(c))  # a repeated parameter keeps its first argument
-        return substitute_all(d.body, terms)
+        return substitute_all(d.body, {p: Const(c) for p, c in zip(d.params, args)})
 
     def to_json(self) -> dict:
         return {
@@ -195,10 +194,6 @@ class Interpretation:
 def load_interpretation(path: str) -> Interpretation:
     with open(path) as fh:
         return Interpretation.from_json(json.load(fh))
-
-
-def run_to_json(run: Run) -> list[dict]:
-    return [{"player": m.player, "move": m.move} for m in run]
 
 
 def run_from_json(doc: list) -> Run:

@@ -265,10 +265,6 @@ def is_choice(f: Formula) -> bool:
     return isinstance(f, _CHOICE)
 
 
-def is_quasiatom(f: Formula) -> bool:
-    return isinstance(f, Atom) or is_choice(f)
-
-
 # ---------------------------------------------------------------------------
 # Addresses and occurrences
 # ---------------------------------------------------------------------------
@@ -808,11 +804,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Parentheses, negations, quantifier bodies and implication right-hand sides
+# nest.  Beyond this many levels the parser, and the recursive walkers that
+# later read the formula, would run out of Python stack; parse stops first.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], arities: dict[str, int]):
         self.tokens = tokens
         self.pos = 0
         self.arities = arities  # letter name -> arity seen so far
+        self.nesting = 0
 
     def peek(self, offset: int = 0) -> _Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -833,13 +836,22 @@ class _Parser:
         tok = self.peek()
         return ParseError(msg, tok.line, tok.col)
 
+    def nested(self, sub):
+        """Parse sub one nesting level deeper."""
+        if self.nesting == MAX_NESTING:
+            raise self.error(f"formula nested too deeply (more than {MAX_NESTING} levels)")
+        self.nesting += 1
+        out = sub()
+        self.nesting -= 1
+        return out
+
     # -- grammar ----------------------------------------------------------
 
     def formula(self) -> Formula:
         lhs = self.or_chain()
         if self.peek().kind == "->":
             self.next()
-            return Implies(lhs, self.formula())
+            return Implies(lhs, self.nested(self.formula))
         return lhs
 
     def _chain(self, sub, par_kind: str, cho_kind: str, par_cls, cho_cls) -> Formula:
@@ -892,7 +904,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "~":
             self.next()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         quant = self._quantifier_ahead()
         if quant is not None:
             self.next()
@@ -906,7 +918,7 @@ class _Parser:
                 )
             if self.peek().kind == ".":
                 self.next()
-            body = self.formula()
+            body = self.nested(self.formula)
             cls = {"ChoAll": ChoAll, "ChoEx": ChoEx, "BlindAll": BlindAll, "BlindEx": BlindEx}[quant]
             return cls(var_tok.text, body)
         return self.atom_expr()
@@ -915,7 +927,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.next()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         if tok.kind == "IDENT":

@@ -1,13 +1,16 @@
 import random
+from dataclasses import dataclass, field
 
 import pytest
 
+from cl4kit import decide
 from cl4kit.calculus import check_proof, proof_to_json
-from cl4kit.classical import tautology_qf
+from cl4kit.classical import Budget, tautology_qf
 from cl4kit.decide import decide_blindfree, decide_extended
-from cl4kit.syntax import parse, pretty
+from cl4kit.syntax import Implies, aggregate_complexity, parse, pretty
+from cl4kit.translate import lift, signature_for
 
-from helpers import random_qf_elementary
+from helpers import random_blindfree, random_game_formula, random_qf_elementary
 
 # Exercise fixtures, blind-free part.  Keys are the clause numbers.
 BLINDFREE = {
@@ -205,3 +208,105 @@ class TestBudgetTainting:
         f = parse("P \\/ ~P")
         d = decide_extended(f, budget=Budget(depth=0, models=0, max_expansions=1))
         assert d.is_provable and check_proof(d.proof).ok
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@dataclass
+class _UnmemoizedSearch(decide._Search):
+    memo: dict = field(default_factory=_Forgetful)
+
+
+def _lifted(clause):
+    f = parse(BLINDFREE[clause][0])
+    return lift(f, signature_for(f))
+
+
+def _with_copycats(formulas):
+    """Each formula f and f -> f, which CL4 proves: a mix of both verdicts."""
+    return [g for f in formulas for g in (f, Implies(f, f))]
+
+
+def _outcome(d):
+    return d.status, d.reason, proof_to_json(d.proof) if d.proof else None
+
+
+class TestMemo:
+    """The memo returns what the unmemoized search would have derived, so
+    verdicts, reasons and proofs are the same with and without it."""
+
+    def _same_with_and_without_memo(self, monkeypatch, run, formulas):
+        with_memo = [_outcome(run(f)) for f in formulas]
+        with monkeypatch.context() as m:
+            m.setattr(decide, "_Search", _UnmemoizedSearch)
+            without = [_outcome(run(f)) for f in formulas]
+        for f, a, b in zip(formulas, with_memo, without):
+            assert a == b, pretty(f)
+        return [status for status, _, _ in with_memo]
+
+    def test_hits_counted(self):
+        stats = {}
+        decide_blindfree(_lifted(15), stats=stats)
+        assert stats["memo_hits"] > 0
+        stats = {}
+        decide_blindfree(parse(BLINDFREE[1][0]), stats=stats)
+        assert stats["memo_hits"] == 0
+
+    def test_unmemoized_search_has_no_hits(self, monkeypatch):
+        monkeypatch.setattr(decide, "_Search", _UnmemoizedSearch)
+        stats = {}
+        decide_blindfree(parse(BLASS), stats=stats)
+        assert stats["memo_hits"] == 0
+
+    def test_exercise_tables(self, monkeypatch):
+        formulas = [parse(text) for text, _ in BLINDFREE.values()] + [parse(BLASS)]
+        self._same_with_and_without_memo(monkeypatch, decide_blindfree, formulas)
+        blind = [parse(text) for text, _ in BLIND.values()]
+        self._same_with_and_without_memo(monkeypatch, decide_extended, blind)
+
+    def test_lifted_clauses(self, monkeypatch):
+        formulas = [_lifted(c) for c in (1, 2, 3, 4, 5, 7, 9, 15)]
+        statuses = self._same_with_and_without_memo(monkeypatch, decide_blindfree, formulas)
+        assert statuses == [BLINDFREE[c][1] for c in (1, 2, 3, 4, 5, 7, 9, 15)]
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_blindfree(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        formulas = _with_copycats(random_blindfree(rng, depth=3) for _ in range(100))
+        statuses = self._same_with_and_without_memo(monkeypatch, decide_blindfree, formulas)
+        assert {"provable", "unprovable"} <= set(statuses)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    @pytest.mark.parametrize(
+        "budget, verdicts",
+        [
+            (Budget(), {"provable", "unprovable"}),
+            (Budget(depth=0, models=0, max_expansions=1), {"provable", "unknown"}),
+        ],
+        ids=["default-budget", "starved-budget"],
+    )
+    def test_random_blind_extended(self, monkeypatch, seed, budget, verdicts):
+        rng = random.Random(seed)
+        formulas = _with_copycats(
+            random_game_formula(rng, depth=3, with_blind=True)[0] for _ in range(40)
+        )
+
+        def run(f):
+            return decide_extended(f, budget=budget)
+
+        statuses = self._same_with_and_without_memo(monkeypatch, run, formulas)
+        assert verdicts <= set(statuses)
+
+    def test_lifted_clause_8_decides(self):
+        f = _lifted(8)
+        stats = {}
+        d = decide_blindfree(f, stats=stats)
+        assert d.is_provable
+        assert check_proof(d.proof).ok
+        assert d.proof.conclusion == f
+        assert stats["max_depth"] <= aggregate_complexity(f) + 1

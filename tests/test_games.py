@@ -47,6 +47,20 @@ LEMMA_RUN = run_of(("B", "1.a"), ("B", "2.b"), ("B", "3.1.d"), ("T", "2.d"), ("T
 LEMMA_FORMULA = parse("S \\/ ~P#q \\/ (P#q /\\ (!A x. Q(x)) /\\ (r \\/ ~r))")
 
 
+class TestInterpretation:
+    def test_repeated_parameter_is_rejected(self):
+        with pytest.raises(ValueError, match="repeated parameter"):
+            GeneralDef(("x", "x"), parse("l1(x)"))
+        doc = {"universe": 2, "general": {"P": {"params": ["x", "x"], "body": "l1(x)"}}}
+        with pytest.raises(ValueError, match="repeated parameter"):
+            Interpretation.from_json(doc)
+
+    def test_expansion_binds_each_parameter(self):
+        doc = {"universe": 2, "general": {"P": {"params": ["x", "y"], "body": "l1(x) !\\/ l2(y)"}}}
+        interp = Interpretation.from_json(doc)
+        assert interp.expand_general("P", (0, 1)) == parse("l1(0) !\\/ l2(1)")
+
+
 class TestRunBasics:
     def test_negate_run(self):
         g = run_of(("T", "b"), ("B", "d"))

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cl4kit.calculus import check_proof
+from cl4kit.decide import decide_blindfree
 from cl4kit.games import parse_move
 from cl4kit.syntax import (
+    MAX_NESTING,
     TOP,
     Atom,
     BlindAll,
@@ -13,6 +16,7 @@ from cl4kit.syntax import (
     ChoEx,
     ChoOr,
     Const,
+    Formula,
     Implies,
     Neg,
     ParAnd,
@@ -106,6 +110,69 @@ class TestParse:
     def test_arity_consistency(self):
         with pytest.raises(ParseError):
             parse("p(x) /\\ p(x, y)")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 150 + "P" + ")" * 150,
+            "~" * 1000 + "P",
+            "P -> " * 1000 + "P",
+            "!A x. " * 1000 + "P(x)",
+            "(" * (MAX_NESTING + 1) + "P" + ")" * (MAX_NESTING + 1),
+        ],
+        ids=["parens", "negations", "implications", "quantifiers", "one-past-limit"],
+    )
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+
+
+# Shapes nested exactly MAX_NESTING levels deep.
+_AT_LIMIT = {
+    "parens": "(" * MAX_NESTING + "P" + ")" * MAX_NESTING,
+    "negations": "~" * MAX_NESTING + "P",
+    "implications": " -> ".join(["P"] * (MAX_NESTING + 1)),
+    "conjunctions": "(P /\\ " * MAX_NESTING + "Q" + ")" * MAX_NESTING,
+    "quantifiers": "!E x. " * (MAX_NESTING - 2) + "(P(x) \\/ ~P(x))",
+}
+
+
+@pytest.mark.parametrize("text", list(_AT_LIMIT.values()), ids=list(_AT_LIMIT))
+def test_nesting_at_the_limit_prints_and_decides(text):
+    f = parse(text)
+    assert parse(pretty(f)) == f
+    d = decide_blindfree(f)
+    assert d.status in ("provable", "unprovable")
+    if d.is_provable:
+        assert check_proof(d.proof).ok
+
+
+# Tokens of the formula language, and characters outside it.
+_FORMULA_TOKENS = [
+    "P", "Q", "p", "q", "T", "F", "x", "y", "A", "E", "0", "12", "P#q", "p(x)",
+    "(", ")", ",", ".", "#", "~", "/\\", "\\/", "->", "!/\\", "!\\/", "!A", "!E",
+    "¬", "∧", "∨", "→", "⊓", "⊔", "∀", "∃", "⊤", "⊥", " ", "\n", "!", "/", "\\", "-", "?",
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(alphabet="".join(set("".join(_FORMULA_TOKENS))), max_size=40),
+        st.lists(st.sampled_from(_FORMULA_TOKENS), max_size=40).map("".join),
+        st.tuples(
+            st.sampled_from(["(", "~", "!A x. ", "P -> "]),
+            st.integers(0, 2 * MAX_NESTING),
+            st.lists(st.sampled_from(_FORMULA_TOKENS), max_size=10).map("".join),
+        ).map(lambda t: t[0] * t[1] + t[2]),
+    )
+)
+def test_parse_returns_a_formula_or_raises_parse_error(text):
+    try:
+        f = parse(text)
+    except ParseError:
+        return
+    assert isinstance(f, Formula)
 
 
 class TestPrint:
