@@ -60,6 +60,32 @@ def random_qf_elementary(rng: random.Random, max_atoms: int = 8, depth: int = 4)
     return build(depth)
 
 
+def random_syllogism(rng: random.Random, n_atoms: int) -> Formula:
+    """Hypothetical syllogism (g->h)->((h->k)->(g->k)), a tautology, over
+    random trees g, h and k that together use all n_atoms 0-ary elementary
+    atoms and share about a sixth of them each."""
+    atoms = [Atom(elem_letter(f"a{i}")) for i in range(n_atoms)]
+
+    def tree(leaves: list[Formula]) -> Formula:
+        if len(leaves) == 1:
+            node = leaves[0]
+        else:
+            cut = rng.randint(1, len(leaves) - 1)
+            pair = (tree(leaves[:cut]), tree(leaves[cut:]))
+            node = rng.choice((ParAnd(pair), ParOr(pair), Implies(*pair)))
+        return Neg(node) if rng.random() < 0.15 else node
+
+    pool = atoms[:]
+    rng.shuffle(pool)
+    parts = []
+    for i in range(3):
+        leaves = pool[i::3] + rng.sample(atoms, n_atoms // 6)
+        rng.shuffle(leaves)
+        parts.append(tree(leaves))
+    g, h, k = parts
+    return Implies(Implies(g, h), Implies(Implies(h, k), Implies(g, k)))
+
+
 def random_blindfree(rng: random.Random, depth: int = 3, n_general: int = 2) -> Formula:
     """Closed blind-free formula mixing parallel and choice structure with
     general and elementary 0-ary atoms."""

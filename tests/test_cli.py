@@ -40,6 +40,12 @@ class TestDecide:
         assert code == 3
         assert "nested too deeply" in err and "Traceback" not in err
 
+    def test_wide_input_is_decided(self, capsys):
+        text = " \\/ ".join(f"(a{i} /\\ b{i})" for i in range(1200))
+        code, out, err = run_cli(capsys, "decide", text)
+        assert code == 1 and "unprovable" in out
+        assert err == ""
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "P \\/ ~P", "--json")
         doc = json.loads(out)

@@ -7,10 +7,15 @@ from cl4kit import decide
 from cl4kit.calculus import check_proof, proof_to_json
 from cl4kit.classical import Budget, tautology_qf
 from cl4kit.decide import decide_blindfree, decide_extended
-from cl4kit.syntax import Implies, aggregate_complexity, parse, pretty
+from cl4kit.syntax import Implies, aggregate_complexity, letters, parse, pretty
 from cl4kit.translate import lift, signature_for
 
-from helpers import random_blindfree, random_game_formula, random_qf_elementary
+from helpers import (
+    random_blindfree,
+    random_game_formula,
+    random_qf_elementary,
+    random_syllogism,
+)
 
 # Exercise fixtures, blind-free part.  Keys are the clause numbers.
 BLINDFREE = {
@@ -120,6 +125,17 @@ class TestConservativity:
             assert d.is_provable == tautology_qf(f), pretty(f)
             if d.is_provable:
                 assert check_proof(d.proof).ok
+
+
+class TestWideElementary:
+    @pytest.mark.parametrize("n_atoms,seed", [(28, 0), (28, 1), (32, 0), (32, 1)])
+    def test_syllogism_wider_than_the_sweep(self, n_atoms, seed):
+        f = random_syllogism(random.Random(seed), n_atoms)
+        assert len(letters(f)) == n_atoms
+        d = decide_blindfree(f)
+        assert d.is_provable
+        assert check_proof(d.proof).ok
+        assert d.proof.conclusion == f
 
 
 class TestCL3Degeneration:

@@ -94,14 +94,32 @@ def test_sweep_top_of_range(n):
         assert ev(open_f, assignment) is False
 
 
+def negated_3cnf(rng, n):
+    """~(C1 /\\ ... /\\ Cm) for m of about 4.3 n random three-literal
+    clauses over n atoms: near that ratio the clause set is satisfiable about
+    as often as not, and the solver needs conflicts and backjumps."""
+    atoms = [Atom(elem_letter(f"p{i}")) for i in range(n)]
+    clauses = tuple(
+        ParOr(tuple(a if rng.random() < 0.5 else Neg(a) for a in rng.sample(atoms, 3)))
+        for _ in range(round(4.3 * n))
+    )
+    return Neg(ParAnd(clauses))
+
+
 def test_dpll_agrees_with_sweep():
     rng = random.Random(23)
-    for _ in range(200):
-        f = random_qf_elementary(rng, max_atoms=6, depth=4)
+    formulas = [random_qf_elementary(rng, max_atoms=6, depth=4) for _ in range(200)]
+    cnfs = [negated_3cnf(rng, rng.randint(10, 16)) for _ in range(400)]
+    verdicts = []
+    for f in formulas + cnfs:
         ops, atoms = kernel.compile_program(f)
         sweep = _kernel_py.falsifying(ops, len(atoms))
         dpll = kernel._dpll_negation(ops, len(atoms))
         assert (sweep is None) == (dpll is None), pretty(f)
+        if dpll is not None:
+            assert ev(f, {a: dpll[i] for i, a in enumerate(atoms)}) is False, pretty(f)
+        verdicts.append(dpll is None)
+    assert set(verdicts[len(formulas) :]) == {True, False}
 
 
 def test_wide_formula_falls_back_to_dpll():
@@ -113,3 +131,17 @@ def test_wide_formula_falls_back_to_dpll():
     assignment = kernel.falsifying_assignment(open_f)
     assert assignment is not None
     assert not any(assignment[a] for a in atoms)
+
+
+def test_wide_flat_disjunction_has_no_recursion_limit():
+    # about one decision per disjunct: more frames than Python allows if
+    # each decision took one
+    n = 1200
+    parts = tuple(
+        ParAnd((Atom(elem_letter(f"a{i}")), Atom(elem_letter(f"b{i}")))) for i in range(n)
+    )
+    f = ParOr(parts)
+    assignment = kernel.falsifying_assignment(f)
+    assert assignment is not None
+    assert len(assignment) == 2 * n
+    assert ev(f, assignment) is False
