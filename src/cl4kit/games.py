@@ -1,5 +1,5 @@
 """Runs and formula-shaped finite constant games: projections, top-delay,
-manageability, legality, winner evaluation, and residual states.
+manageability, legality and winner, and residual states.
 
 A labmove is a player tag ("T" for the machine, "B" for the environment)
 plus a move string.  Move strings are read against a formula by walking
@@ -10,6 +10,13 @@ at the first quasiatom; whatever remains is the payload.
 Games are finite: choice quantifiers range over the interpretation's
 universe {0..U-1}, and blind quantifiers evaluate as conjunction or
 disjunction over it.
+
+Legality and winner come from one descent over the formula, which states
+each operator's rule once: a parallel connective splits the run among its
+children, a negation hands its body the negated run, a blind quantifier
+plays its body at every constant, a general or hybrid atom plays its
+defining game, and a choice's first move picks the component the rest of
+the run is played in.  `residual` replays the run once, move by move.
 """
 
 from __future__ import annotations
@@ -22,19 +29,18 @@ from itertools import takewhile
 from .syntax import (
     Address,
     Atom,
+    PARALLEL,
+    QUASIATOM,
+    TRANSPARENT,
     BlindAll,
-    BlindEx,
     ChoAll,
     ChoAnd,
     ChoEx,
     ChoOr,
     Const,
     Formula,
-    Implies,
-    Neg,
     Occurrence,
     ParAnd,
-    ParOr,
     addr_str,
     apply_valuation,
     atoms,
@@ -56,7 +62,8 @@ BOT_PLAYER = "B"
 
 
 def flip(player: str) -> str:
-    return BOT_PLAYER if player == TOP_PLAYER else TOP_PLAYER
+    """The other player; a tag that names neither is kept."""
+    return BOT_PLAYER if player == TOP_PLAYER else TOP_PLAYER if player == BOT_PLAYER else player
 
 
 @dataclass(frozen=True)
@@ -243,18 +250,21 @@ def choice_mover(qa: Formula, polarity: int) -> str:
     raise ValueError("not a choice quasiatom")
 
 
-def _choice_component(qa: Formula, payload: str, universe: int) -> Formula | None:
-    """The component a choice move selects, or None for a bad payload."""
-    if not re.fullmatch(r"\d+", payload):
+def _instance(q: Formula, c: int) -> Formula:
+    """A quantifier's body at the constant c."""
+    return substitute(q.body, q.var, Const(c))
+
+
+def _choice_component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
+    """The component of the choice quasiatom qa that the move m selects, m
+    read in qa's positive view; None when m is illegal there: the wrong
+    player or a bad payload."""
+    if m.player != choice_mover(qa, 1) or not re.fullmatch(r"\d+", m.move):
         return None
-    n = int(payload)
-    if isinstance(qa, (ChoAnd, ChoOr)):
-        if not 1 <= n <= len(qa.parts):
-            return None
-        return qa.parts[n - 1]
-    if 0 <= n < universe:
-        return substitute(qa.body, qa.var, Const(n))
-    return None
+    n = int(m.move)
+    if qa.bound_var is not None:
+        return _instance(qa, n) if n < universe else None
+    return qa.parts[n - 1] if 1 <= n <= len(qa.parts) else None
 
 
 # ---------------------------------------------------------------------------
@@ -262,60 +272,69 @@ def _choice_component(qa: Formula, payload: str, universe: int) -> Formula | Non
 # ---------------------------------------------------------------------------
 
 
-def _ground(f: Formula, valuation: dict[str, int] | None) -> Formula:
-    g = apply_valuation(f, valuation or {})
-    if free_variables(g):
-        raise ValueError("the formula must be closed under the valuation")
-    return g
+def _expansion(atom: Atom, interp: Interpretation) -> Formula:
+    """The game a closed general or hybrid atom stands for."""
+    lt = atom.letter
+    name = lt.general if lt.kind == "hybrid" else lt.name
+    return interp.expand_general(name, tuple(t.value for t in atom.args))
 
 
 def _route(node: Formula, run: Run) -> list[Run] | None:
-    """Split a run among the children of a parallel node; None when some
-    move does not route.  Antecedent subruns come back negated."""
-    width = len(node.children)
-    groups: list[list[LabMove]] = [[] for _ in range(width)]
-    for m in run:
-        im = _INDEX_RE.match(m.move)
-        if not im:
-            return None
-        i = int(im.group(1))
-        if not 1 <= i <= width:
-            return None
-        groups[i - 1].append(LabMove(m.player, m.move[im.end():]))
-    result = [tuple(g) for g in groups]
-    if isinstance(node, Implies):
-        result[0] = negate_run(result[0])
-    return result
+    """Split a run among the children of a parallel node by each move's
+    leading `i.` token, or hand all of it to the body of a transparent one.
+    Every subrun comes back in its child's view: negated where the child's
+    sign is -1.  None when some move does not route."""
+    if node.surface is TRANSPARENT:
+        groups = [run]
+    else:
+        width = len(node.children)
+        groups = [[] for _ in range(width)]
+        for m in run:
+            im = _INDEX_RE.match(m.move)
+            if not im:
+                return None
+            i = int(im.group(1))
+            if not 1 <= i <= width:
+                return None
+            groups[i - 1].append(LabMove(m.player, m.move[im.end():]))
+    return [negate_run(g) if s < 0 else tuple(g) for g, s in zip(groups, node.signs)]
 
 
-def _legal(f: Formula, run: Run, interp: Interpretation) -> bool:
+def _play(f: Formula, run: Run, interp: Interpretation) -> bool | None:
+    """Whether the machine wins the run in the closed game f, or None when
+    the run is not legal there."""
     if isinstance(f, Atom):
-        if f.letter.kind == "elementary":
-            return len(run) == 0
-        name = f.letter.general if f.letter.kind == "hybrid" else f.letter.name
-        args = tuple(t.value for t in f.args)
-        return _legal(interp.expand_general(name, args), run, interp)
-    if isinstance(f, Neg):
-        return _legal(f.body, negate_run(run), interp)
-    if isinstance(f, (ParAnd, ParOr, Implies)):
-        routed = _route(f, run)
-        if routed is None:
-            return False
-        return all(_legal(c, r, interp) for c, r in zip(f.children, routed))
-    if isinstance(f, (BlindAll, BlindEx)):
-        return _legal(substitute(f.body, f.var, Const(0)), run, interp)
-    # choice node, positive view: the environment resolves caps, the
-    # machine resolves cups
-    if not run:
-        return True
-    head, rest = run[0], run[1:]
-    expected = BOT_PLAYER if isinstance(f, (ChoAnd, ChoAll)) else TOP_PLAYER
-    if head.player != expected:
-        return False
-    component = _choice_component(f, head.move, interp.universe)
-    if component is None:
-        return False
-    return _legal(component, rest, interp)
+        if f.letter.kind != "elementary":
+            return _play(_expansion(f, interp), run, interp)
+        if run:
+            return None
+        if f.letter.logical:
+            return f.letter.name == "T"
+        return interp.atom_value(f.letter.name, tuple(t.value for t in f.args))
+    if f.surface is QUASIATOM:
+        # a choice: its first move picks the component the rest of the run
+        # is played in; a choice never made is lost by the player who owed it
+        if not run:
+            return choice_mover(f, 1) == BOT_PLAYER
+        component = _choice_component(f, run[0], interp.universe)
+        if component is None:
+            return None
+        return _play(component, run[1:], interp)
+    if f.bound_var is not None:  # blind: the body is played at every constant
+        games = [(_instance(f, c), run, 1) for c in range(interp.universe)]
+    else:
+        subruns = _route(f, run)
+        if subruns is None:
+            return None
+        games = zip(f.children, subruns, f.signs)
+    values = []
+    for game, sub, sign in games:
+        won = _play(game, sub, interp)
+        if won is None:
+            return None
+        values.append(won if sign > 0 else not won)
+    # parallel and blind conjunctions need every game won; the rest need one
+    return all(values) if isinstance(f, (ParAnd, BlindAll)) else any(values)
 
 
 def is_unilegal(
@@ -323,54 +342,17 @@ def is_unilegal(
 ) -> bool:
     """Legality of the run in the game f denotes (an unresolvable move
     makes the run illegal rather than raising)."""
-    return _legal(_ground(f, valuation), run, interp)
-
-
-def _win(f: Formula, run: Run, interp: Interpretation) -> bool:
-    if isinstance(f, Atom):
-        if f.letter.logical:
-            return f.letter.name == "T"
-        if f.letter.kind == "elementary":
-            return interp.atom_value(f.letter.name, tuple(t.value for t in f.args))
-        name = f.letter.general if f.letter.kind == "hybrid" else f.letter.name
-        args = tuple(t.value for t in f.args)
-        return _win(interp.expand_general(name, args), run, interp)
-    if isinstance(f, Neg):
-        return not _win(f.body, negate_run(run), interp)
-    if isinstance(f, (ParAnd, ParOr, Implies)):
-        routed = _route(f, run)
-        values = [_win(c, r, interp) for c, r in zip(f.children, routed)]
-        if isinstance(f, ParAnd):
-            return all(values)
-        if isinstance(f, ParOr):
-            return any(values)
-        return (not values[0]) or values[1]
-    if isinstance(f, BlindAll):
-        return all(
-            _win(substitute(f.body, f.var, Const(c)), run, interp)
-            for c in range(interp.universe)
-        )
-    if isinstance(f, BlindEx):
-        return any(
-            _win(substitute(f.body, f.var, Const(c)), run, interp)
-            for c in range(interp.universe)
-        )
-    # choice node, positive view: unresolved caps go to the machine,
-    # unresolved cups to the environment
-    if not run:
-        return isinstance(f, (ChoAnd, ChoAll))
-    component = _choice_component(f, run[0].move, interp.universe)
-    return _win(component, run[1:], interp)
+    return _play(apply_valuation(f, valuation or {}), run, interp) is not None
 
 
 def winner(
     f: Formula, interp: Interpretation, run: Run, valuation: dict[str, int] | None = None
 ) -> str:
     """Who wins the (unilegal) run: "T" or "B"."""
-    g = _ground(f, valuation)
-    if not _legal(g, run, interp):
+    won = _play(apply_valuation(f, valuation or {}), run, interp)
+    if won is None:
         raise ValueError("winner is defined for unilegal runs only")
-    return TOP_PLAYER if _win(g, run, interp) else BOT_PLAYER
+    return TOP_PLAYER if won else BOT_PLAYER
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +467,13 @@ class ResidualState:
 def residual(
     f: Formula, interp: Interpretation, run: Run, valuation: dict[str, int] | None = None
 ) -> ResidualState:
-    g = _ground(f, valuation)
-    if not _legal(g, run, interp):
-        raise ValueError("residual is defined for unilegal runs only")
-    stored: dict[Address, list[LabMove]] = {}
-    current = g
+    """What remains of the game f after the run.  The run is replayed once,
+    move by move: a choice move rewrites its quasiatom into the component it
+    picks, and a move inside a general or hybrid quasiatom is stored there.
+    Each stored subrun is then checked in its quasiatom's own game.  Raises
+    ValueError when the run is not unilegal."""
+    stored: dict[Address, tuple[Occurrence, list[LabMove]]] = {}
+    current = apply_valuation(f, valuation or {})
     for m in run:
         parsed = parse_move(current, m.move)
         if parsed is None:
@@ -499,16 +483,21 @@ def residual(
         if isinstance(qa, Atom):
             if qa.letter.kind == "elementary":
                 raise ValueError(f"move {m.move!r} lands in an elementary atom")
-            stored.setdefault(occ.address, []).append(LabMove(m.player, payload))
-        else:
-            if m.player != choice_mover(qa, occ.polarity):
-                raise ValueError(f"move {m.move!r} made by the wrong player")
-            component = _choice_component(qa, payload, interp.universe)
-            if component is None:
-                raise ValueError(f"move {m.move!r} selects no component")
-            current = replace_at(current, occ.address, component)
+            stored.setdefault(occ.address, (occ, []))[1].append(LabMove(m.player, payload))
+            continue
+        player = m.player if occ.polarity > 0 else flip(m.player)
+        component = _choice_component(qa, LabMove(player, payload), interp.universe)
+        if component is None:
+            raise ValueError(f"move {m} is illegal at a choice")
+        current = replace_at(current, occ.address, component)
+    for occ, moves in stored.values():
+        # read in the atom's own view, its blind-bound arguments at 0 as the
+        # descent instantiates them
+        sub = negate_run(moves) if occ.polarity < 0 else tuple(moves)
+        if _play(apply_valuation(occ.quasiatom, {}), sub, interp) is None:
+            raise ValueError(f"the moves at {pretty(occ.quasiatom)} are illegal there")
     return ResidualState(
-        current, tuple(sorted((a, tuple(ms)) for a, ms in stored.items()))
+        current, tuple(sorted((a, tuple(ms)) for a, (_, ms) in stored.items()))
     )
 
 
@@ -524,35 +513,35 @@ def legal_moves(
     player: str,
     valuation: dict[str, int] | None = None,
 ) -> list[str]:
-    """All single moves the player may legally add after `run`."""
-    g = _ground(f, valuation)
+    """All single moves the player may legally add after `run`.  Raises
+    ValueError when the run is not unilegal."""
 
     def collect(node: Formula, sub: Run, who: str) -> list[str]:
         if isinstance(node, Atom):
-            if node.letter.kind == "elementary":
-                return []
-            name = node.letter.general if node.letter.kind == "hybrid" else node.letter.name
-            args = tuple(t.value for t in node.args)
-            return collect(interp.expand_general(name, args), sub, who)
-        if isinstance(node, Neg):
-            return collect(node.body, negate_run(sub), flip(who))
-        if isinstance(node, (ParAnd, ParOr, Implies)):
-            routed = _route(node, sub)
-            out = []
-            for i, (child, r) in enumerate(zip(node.children, routed), start=1):
-                w = flip(who) if isinstance(node, Implies) and i == 1 else who
-                out.extend(f"{i}.{m}" for m in collect(child, r, w))
-            return out
-        if isinstance(node, (BlindAll, BlindEx)):
-            return collect(substitute(node.body, node.var, Const(0)), sub, who)
-        if sub:
-            component = _choice_component(node, sub[0].move, interp.universe)
-            return collect(component, sub[1:], who)
-        mover = BOT_PLAYER if isinstance(node, (ChoAnd, ChoAll)) else TOP_PLAYER
-        if mover != who:
+            if node.letter.kind != "elementary":
+                return collect(_expansion(node, interp), sub, who)
+            if sub:
+                raise ValueError("a move lands in an elementary atom")
             return []
-        if isinstance(node, (ChoAnd, ChoOr)):
-            return [str(i) for i in range(1, len(node.parts) + 1)]
-        return [str(c) for c in range(interp.universe)]
+        if node.surface is QUASIATOM:
+            if sub:
+                component = _choice_component(node, sub[0], interp.universe)
+                if component is None:
+                    raise ValueError(f"move {sub[0]} is illegal at a choice")
+                return collect(component, sub[1:], who)
+            if choice_mover(node, 1) != who:
+                return []
+            picks = range(interp.universe) if node.bound_var else range(1, len(node.children) + 1)
+            return list(map(str, picks))
+        if node.bound_var is not None:  # blind: every constant gives the same moves
+            return collect(_instance(node, 0), sub, who)
+        subruns = _route(node, sub)
+        if subruns is None:
+            raise ValueError("a move does not route")
+        out = []
+        for i, (child, r, sign) in enumerate(zip(node.children, subruns, node.signs), start=1):
+            tag = f"{i}." if node.surface is PARALLEL else ""
+            out.extend(tag + m for m in collect(child, r, who if sign > 0 else flip(who)))
+        return out
 
-    return collect(g, run, player)
+    return collect(apply_valuation(f, valuation or {}), run, player)

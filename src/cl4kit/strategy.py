@@ -39,6 +39,7 @@ from .syntax import (
     ChoOr,
     Const,
     Formula,
+    Occurrence,
     Var,
     addr_str,
     apply_valuation,
@@ -117,6 +118,17 @@ class StrategyError(ValueError):
     pass
 
 
+def _restrict(valuation: dict[str, int], f: Formula) -> None:
+    """Drop the valuation's entries for variables not free in f."""
+    for z in set(valuation) - free_variables(f):
+        del valuation[z]
+
+
+def _hybrid_pair(f: Formula, name: str) -> tuple[Occurrence, Occurrence]:
+    """The (positive, negative) occurrences of the hybrid letter name in f."""
+    return next((p, n) for p, n in hybrid_pairs(f) if p.quasiatom.letter.name == name)
+
+
 def extract_and_play(
     proof: Proof,
     interp: Interpretation,
@@ -179,10 +191,7 @@ def extract_and_play(
             move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{i}")
             theta.append(move)
             premise = proof.step(current.premises[0])
-            keep = free_variables(premise.formula)
-            for z in list(valuation):
-                if z not in keep:
-                    del valuation[z]
+            _restrict(valuation, premise.formula)
             current = premise
             record("main", "B1", state, theta_before, [move])
             continue
@@ -201,12 +210,7 @@ def extract_and_play(
 
         if tag == "Co":
             premise = proof.step(current.premises[0])
-            hyb_name = current.rule.hybrid
-            pos, neg = next(
-                (p, n)
-                for p, n in hybrid_pairs(premise.formula)
-                if p.quasiatom.letter.name == hyb_name
-            )
+            pos, neg = _hybrid_pair(premise.formula, current.rule.hybrid)
             pi, nu = pos.address, neg.address
             omega_run = tuple(omega)
             pi_payloads = [m.move for m in project(omega_run, pi, "raw")]
@@ -252,11 +256,7 @@ def extract_and_play(
             continue
 
         if isinstance(qa, Atom) and qa.letter.kind == "hybrid":
-            pos, neg = next(
-                (p, n)
-                for p, n in hybrid_pairs(current.formula)
-                if p.quasiatom.letter.name == qa.letter.name
-            )
+            pos, neg = _hybrid_pair(current.formula, qa.letter.name)
             sigma = neg.address if occ.address == pos.address else pos.address
             reply = LabMove(TOP_PLAYER, f"{addr_str(sigma)}{payload}")
             theta.append(env_move)
@@ -285,10 +285,7 @@ def extract_and_play(
             premise, y = premises[found[0]], found[1]
             theta.append(env_move)
             if y is None:
-                keep = free_variables(premise.formula)
-                for z in list(valuation):
-                    if z not in keep:
-                        del valuation[z]
+                _restrict(valuation, premise.formula)
             elif y in free_variables(premise.formula):
                 valuation[y] = int(payload)
             current = premise

@@ -809,13 +809,16 @@ def _tokenize(text: str) -> list[_Token]:
 # later read the formula, would run out of Python stack; parse stops first.
 MAX_NESTING = 100
 
+# Binary connectives by precedence, loosest first; the last level's parts are unary.
+_LEVELS = (("\\/", "CHO_OR", ParOr, ChoOr), ("/\\", "CHO_AND", ParAnd, ChoAnd))
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token], arities: dict[str, int]):
         self.tokens = tokens
         self.pos = 0
         self.arities = arities  # letter name -> arity seen so far
-        self.nesting = 0
+        self.nesting = -1  # the whole input is a formula, but not a nested one
 
     def peek(self, offset: int = 0) -> _Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -836,50 +839,45 @@ class _Parser:
         tok = self.peek()
         return ParseError(msg, tok.line, tok.col)
 
-    def nested(self, sub):
-        """Parse sub one nesting level deeper."""
+    def deeper(self) -> None:
+        """Count one more nesting level; the caller counts it back out."""
         if self.nesting == MAX_NESTING:
             raise self.error(f"formula nested too deeply (more than {MAX_NESTING} levels)")
         self.nesting += 1
-        out = sub()
-        self.nesting -= 1
-        return out
 
     # -- grammar ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        lhs = self.or_chain()
+        """A formula one nesting level below the caller's."""
+        self.deeper()
+        f = self._chain(0)
         if self.peek().kind == "->":
             self.next()
-            return Implies(lhs, self.nested(self.formula))
-        return lhs
+            f = Implies(f, self.formula())
+        self.nesting -= 1
+        return f
 
-    def _chain(self, sub, par_kind: str, cho_kind: str, par_cls, cho_cls) -> Formula:
-        first = sub()
-        kind = self.peek().kind
-        if kind not in (par_kind, cho_kind):
-            return first
-        node_kind = kind
-        parts = [first]
-        while self.peek().kind in (par_kind, cho_kind):
+    def _chain(self, level: int) -> Formula:
+        par_kind, cho_kind, par_cls, cho_cls = _LEVELS[level]
+        parts: list[Formula] = []
+        node_kind = None
+        while True:
+            parts.append(self._chain(level + 1) if level + 1 < len(_LEVELS) else self.unary())
             tok = self.peek()
-            if tok.kind != node_kind:
+            if tok.kind not in (par_kind, cho_kind):
+                break
+            if node_kind not in (None, tok.kind):
                 raise ParseError(
                     "mixing parallel and choice connectives at one level "
                     "requires parentheses",
                     tok.line,
                     tok.col,
                 )
+            node_kind = tok.kind
             self.next()
-            parts.append(sub())
-        cls = par_cls if node_kind == par_kind else cho_cls
-        return cls(tuple(parts))
-
-    def or_chain(self) -> Formula:
-        return self._chain(self.and_chain, "\\/", "CHO_OR", ParOr, ChoOr)
-
-    def and_chain(self) -> Formula:
-        return self._chain(self.unary, "/\\", "CHO_AND", ParAnd, ChoAnd)
+        if len(parts) == 1:
+            return parts[0]
+        return (par_cls if node_kind == par_kind else cho_cls)(tuple(parts))
 
     def _quantifier_ahead(self) -> str | None:
         """Return the quantifier class name when the upcoming tokens read as
@@ -904,7 +902,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "~":
             self.next()
-            return Neg(self.nested(self.unary))
+            self.deeper()
+            body = self.unary()
+            self.nesting -= 1
+            return Neg(body)
         quant = self._quantifier_ahead()
         if quant is not None:
             self.next()
@@ -918,7 +919,7 @@ class _Parser:
                 )
             if self.peek().kind == ".":
                 self.next()
-            body = self.nested(self.formula)
+            body = self.formula()
             cls = {"ChoAll": ChoAll, "ChoEx": ChoEx, "BlindAll": BlindAll, "BlindEx": BlindEx}[quant]
             return cls(var_tok.text, body)
         return self.atom_expr()
@@ -927,7 +928,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.next()
-            inner = self.nested(self.formula)
+            inner = self.formula()
             self.expect(")")
             return inner
         if tok.kind == "IDENT":

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cl4kit.cli import main
 
@@ -249,6 +253,71 @@ class TestDelayAndManageable:
             str(run),
         )
         assert code == 0 and out.strip() == "true"
+
+
+# Arbitrary runs for the game commands: odd player tags, empty moves,
+# non-digit, huge and Unicode-digit indices.
+_FUZZ_FORMULAS = [
+    "(e1 !/\\ e2) \\/ (e3 !\\/ e4)",
+    "S \\/ ~P#q \\/ (P#q /\\ (!A x. Q(x)) /\\ (r \\/ ~r))",
+    "P -> P",
+    "A x. Q(x) \\/ ~Q(1)",
+    "!E x. Q(x) -> (e1 !/\\ ~e2)",
+]
+_FUZZ_INTERP = {
+    "universe": 2,
+    "elementary": {"e1": True, "l1(0)": True},
+    "general": {
+        "P": {"params": [], "body": "a1 !\\/ a2"},
+        "Q": {"params": ["x"], "body": "l1(x) !/\\ l2(x)"},
+        "S": {"params": [], "body": "s1 !/\\ s2"},
+    },
+}
+_FUZZ_TOKENS = ["0", "1", "2", "3", "", "x", "-1", " 1", "99999999999999999999", "9" * 5000,
+                "\u0661", "\u0662", "\u00b2", "\uff11"]
+_FUZZ_RUNS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "player": st.sampled_from(["T", "B", "T", "B", "X", "", "t", "TB"]),
+            "move": st.one_of(
+                st.lists(st.sampled_from("0123"), min_size=1, max_size=4).map(".".join),
+                st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=5).map(".".join),
+                st.text(max_size=8),
+            ),
+        }
+    ),
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "interp.json").write_text(json.dumps(_FUZZ_INTERP))
+    return d
+
+
+def _exit_cleanly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+class TestGameCommandsFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(_FUZZ_FORMULAS), _FUZZ_RUNS, st.booleans())
+    def test_eval_run(self, fuzz_dir, formula, run, with_interp):
+        interp = ["--interp", str(fuzz_dir / "interp.json")] if with_interp else ["--universe", "2"]
+        _exit_cleanly("eval-run", "--formula", formula, "--moves", json.dumps(run), *interp)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(_FUZZ_FORMULAS), _FUZZ_RUNS)
+    def test_manageable(self, fuzz_dir, formula, run):
+        path = fuzz_dir / "run.json"
+        path.write_text(json.dumps(run))
+        _exit_cleanly("manageable", "--formula", formula, "--run", str(path))
 
 
 class TestJsonRoundTrips:

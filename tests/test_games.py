@@ -10,6 +10,7 @@ from cl4kit.games import (
     ResidualState,
     TOP_PLAYER,
     choice_mover,
+    flip,
     hybrid_pairs,
     is_manageable,
     is_top_delay,
@@ -24,11 +25,19 @@ from cl4kit.games import (
 )
 from cl4kit.syntax import (
     Atom,
+    BlindAll,
+    BlindEx,
     ChoAnd,
     ChoOr,
     Const,
+    Implies,
+    Neg,
+    ParAnd,
+    ParOr,
+    Var,
     addr_str,
     elem_letter,
+    gen_letter,
     hybrid_letter,
     parse,
     pretty,
@@ -167,6 +176,42 @@ class TestLegality:
         f = parse("e1 !/\\ e2")
         assert not is_unilegal(f, interp, run_of(("B", "1"), ("B", "2")))
 
+    def test_a_player_tag_other_than_t_or_b_is_illegal_under_negation(self):
+        # negating a run swaps T and B and keeps any other tag, so no tag
+        # turns into the mover a choice expects
+        interp = Interpretation(universe=2)
+        f = parse("~(e1 !\\/ e2)")
+        assert is_unilegal(f, interp, run_of(("B", "1")))
+        assert not is_unilegal(f, interp, run_of(("X", "1")))
+        with pytest.raises(ValueError):
+            residual(f, interp, run_of(("X", "1")))
+
+
+class TestLegalMoves:
+    def test_lists_each_players_choices(self):
+        interp = Interpretation(universe=2)
+        f = parse("(e1 !/\\ e2) -> (!E x. l1(x))")
+        assert legal_moves(f, interp, (), "T") == ["1.1", "1.2", "2.0", "2.1"]
+        assert legal_moves(f, interp, (), "B") == []
+        assert legal_moves(f, interp, run_of(("T", "1.2")), "T") == ["2.0", "2.1"]
+
+    @pytest.mark.parametrize(
+        "text, run",
+        [
+            ("e1 !/\\ e2", run_of(("B", "7"))),
+            ("e1 !/\\ e2", run_of(("T", "1"))),
+            ("e1 \\/ e2", run_of(("B", "x"))),
+            ("e1 \\/ (e2 !\\/ e3)", run_of(("T", "1.1"))),
+        ],
+        ids=["bad-payload", "wrong-player", "unrouted", "elementary"],
+    )
+    def test_rejects_runs_that_are_not_unilegal(self, text, run):
+        interp = Interpretation(universe=2)
+        assert not is_unilegal(parse(text), interp, run)
+        for player in ("T", "B"):
+            with pytest.raises(ValueError):
+                legal_moves(parse(text), interp, run, player)
+
 
 class TestWinner:
     def test_logical_atoms(self):
@@ -289,6 +334,19 @@ class TestResidual:
         interp = Interpretation(universe=1)
         with pytest.raises(ValueError):
             residual(parse("e1"), interp, run_of(("T", "1")))
+
+    def test_checks_the_moves_stored_under_a_blind_quantifier(self):
+        interp = Interpretation(
+            universe=2,
+            general={"P": GeneralDef(("x",), parse("l1(x) !\\/ l2(x)"))},
+        )
+        f = parse("A x. P(x)")
+        rs = residual(f, interp, run_of(("T", "2")))
+        assert rs == ResidualState(f, (((), run_of(("T", "2"))),))
+        for bad in (run_of(("B", "2")), run_of(("T", "3")), run_of(("T", "1"), ("T", "2"))):
+            assert not is_unilegal(f, interp, bad)
+            with pytest.raises(ValueError):
+                residual(f, interp, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +693,99 @@ class TestEquistructuralHybrids:
             runs2 = set(all_legal_runs(g2, interp, 3, cap=3000))
             assert runs1 == runs2
             done += 1
+
+
+def _blind_general(rng):
+    """An `A x. P(x)`-style part: a general atom under a blind quantifier,
+    which random_game_formula never draws."""
+    x = rng.choice(["x", "y"])
+    atom = Atom(gen_letter("P", 1), (Var(x),))
+    body = rng.choice([atom, Neg(atom), ParOr((atom, Atom(gen_letter("Q"))))])
+    return rng.choice([BlindAll, BlindEx])(x, body)
+
+
+def _draw(rng, depth=3):
+    f, interp = random_game_formula(
+        rng, depth, 2, with_hybrids=rng.random() < 0.5, with_blind=rng.random() < 0.5
+    )
+    if rng.random() < 0.4:
+        part = _blind_general(rng)
+        f = rng.choice([ParOr((f, part)), ParAnd((part, f)), Implies(part, f)])
+    return f, interp
+
+
+def _garble(rng, run):
+    """Insert, drop, re-sign or extend moves: mostly illegal runs, a few
+    legal ones."""
+    run = list(run)
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(["insert", "drop", "re-sign", "extend"])
+        if op in ("insert", "extend") or not run:
+            move = "".join(f"{rng.randint(0, 3)}." for _ in range(rng.randint(0, 3)))
+            move = rng.choice(run).move if run and rng.random() < 0.5 else move + rng.choice("0123x")
+            where = len(run) if op == "extend" else rng.randint(0, len(run))
+            run.insert(where, LabMove(rng.choice("TB"), move))
+        elif op == "drop":
+            del run[rng.randrange(len(run))]
+        else:
+            j = rng.randrange(len(run))
+            run[j] = LabMove(flip(run[j].player), run[j].move)
+    return tuple(run)
+
+
+class TestGarbledRuns:
+    """Legal runs garbled into mostly illegal ones, over games that include
+    general atoms under blind quantifiers: every evaluator agrees on which
+    runs are legal, and legal_moves lists exactly the legal extensions."""
+
+    def test_evaluators_agree_on_legality(self):
+        rng = random.Random(82)
+        illegal = 0
+        for _ in range(N_CASES * 3):
+            f, interp = _draw(rng)
+            run = random_legal_run(rng, f, interp, 5)
+            if rng.random() < 0.7:
+                run = _garble(rng, run)
+            legal = is_unilegal(f, interp, run)
+            illegal += not legal
+            for evaluate in (
+                lambda: winner(f, interp, run),
+                lambda: residual(f, interp, run),
+                lambda: legal_moves(f, interp, run, TOP_PLAYER),
+                lambda: legal_moves(f, interp, run, BOT_PLAYER),
+            ):
+                if legal:
+                    evaluate()
+                else:
+                    with pytest.raises(ValueError):
+                        evaluate()
+            if legal:
+                for player in (TOP_PLAYER, BOT_PLAYER):
+                    for move in legal_moves(f, interp, run, player):
+                        assert is_unilegal(f, interp, run + (LabMove(player, move),))
+        assert N_CASES < illegal < N_CASES * 2
+
+    def test_legal_moves_lists_every_legal_extension(self):
+        rng = random.Random(83)
+        games = 0
+        while games < 12:
+            f, interp = _draw(rng, depth=2)
+            try:
+                runs = all_legal_runs(f, interp, 3, cap=3000)
+            except AssertionError:
+                continue
+            games += 1
+            found = set(runs)
+            pool = {m.move for r in runs for m in r} | {"0", "1.1", "2.x", "3.1"}
+            for r in runs:
+                if len(r) == 3:
+                    continue
+                for player in (TOP_PLAYER, BOT_PLAYER):
+                    listed = legal_moves(f, interp, r, player)
+                    for move in pool:
+                        extended = r + (LabMove(player, move),)
+                        assert (move in listed) == is_unilegal(f, interp, extended)
+                        assert (move in listed) == (extended in found)
 
 
 def _manageable_run(rng, f, interp, rounds):

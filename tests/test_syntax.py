@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,24 @@ def test_nesting_at_the_limit_prints_and_decides(text):
     assert d.status in ("provable", "unprovable")
     if d.is_provable:
         assert check_proof(d.proof).ok
+
+
+def test_nesting_limit_leaves_room_on_the_stack():
+    """Parentheses nested MAX_NESTING deep parse within 700 frames of the
+    caller's depth, so a caller deep in its own stack still gets the
+    ParseError for deeper input rather than a RecursionError."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    text = "(" * MAX_NESTING + "P" + ")" * MAX_NESTING
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 700)
+    try:
+        assert parse(text) == parse("P")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" + text + ")")
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # Tokens of the formula language, and characters outside it.
