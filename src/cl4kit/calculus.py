@@ -4,13 +4,16 @@ verification, and the hybridize / make-reasonable transformations.
 A proof is a sequence of steps; each step carries a hyperformula, a rule
 tag with its parameters, and references to earlier steps (DAG sharing is
 allowed).  CL4 proofs contain formulas only and may use Rule C; CL4o
-proofs contain balanced hyperformulas and use Rule Co instead.
+proofs contain balanced hyperformulas and use Rule Co instead.  Every
+proof producer (the decision search and both transformations) builds a
+``Derivation`` DAG and turns it into steps with the one ``linearize``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 from .classical import Budget, is_stable
 from .games import BOT_PLAYER, TOP_PLAYER, choice_mover
@@ -23,13 +26,13 @@ from .syntax import (
     ChoOr,
     Const,
     Formula,
+    Letter,
     Occurrence,
     Term,
     Var,
     addr_str,
     elem_letter,
     free_variables,
-    fresh_elem_name,
     fresh_variable,
     gen_letter,
     hybrid_letter,
@@ -520,41 +523,67 @@ def load_proof(path: str) -> Proof:
 
 
 # ---------------------------------------------------------------------------
-# CL4 -> CL4o (hybridization of Rule C)
+# Derivations: proofs as DAGs
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Node:
+@dataclass(eq=False)
+class Derivation:
+    """A proof as a DAG node: a formula, the rule that derives it, and the
+    derivations of its premises.  Nodes compare and hash by identity, so a
+    shared subderivation is one node however often it is used."""
+
     formula: Formula
     rule: RuleApplication
-    children: list["_Node"]
+    children: tuple["Derivation", ...] = ()
 
 
-def _expand_tree(proof: Proof, step_id: int | None = None) -> _Node:
-    step = proof.steps[-1] if step_id is None else proof.step(step_id)
-    return _Node(
-        step.formula, step.rule, [_expand_tree(proof, p) for p in step.premises]
-    )
+def read_derivation(proof: Proof) -> Derivation:
+    """The DAG of a proof whose premises precede their steps, rooted at the
+    last step."""
+    nodes: dict[int, Derivation] = {}
+    for s in proof.steps:
+        nodes[s.id] = Derivation(s.formula, s.rule, tuple(nodes[p] for p in s.premises))
+    return nodes[proof.steps[-1].id]
 
 
-def _tree_letters(node: _Node) -> set[str]:
-    out = set(letter_names(node.formula))
-    for c in node.children:
-        out |= _tree_letters(c)
-    return out
+def linearize(root: Derivation, system: str) -> Proof:
+    """The proof of root's formula: steps in post-order, numbered from 1,
+    with one step for each distinct (formula, rule, premise ids)."""
+    steps: list[ProofStep] = []
+    ids: dict[tuple, int] = {}
+    done: dict[Derivation, int] = {}
+
+    def emit(node: Derivation) -> int:
+        if node not in done:
+            premises = tuple(emit(c) for c in node.children)
+            key = (node.formula, node.rule, premises)
+            if key not in ids:
+                ids[key] = len(steps) + 1
+                steps.append(ProofStep(ids[key], node.formula, node.rule, premises))
+            done[node] = ids[key]
+        return done[node]
+
+    emit(root)
+    return Proof(system, steps)
 
 
-def _rewrite_subtree(node: _Node, old, new) -> None:
-    node.formula = replace_letter(node.formula, old, new)
-    for c in node.children:
-        _rewrite_subtree(c, old, new)
+# ---------------------------------------------------------------------------
+# CL4 -> CL4o (hybridization of Rule C)
+# ---------------------------------------------------------------------------
 
 
 def to_cl4o(proof: Proof, budget: Budget = Budget()) -> Proof:
     """Convert a checked CL4 proof into a CL4o proof of the same conclusion:
     each Rule C application becomes Rule Co, with the introduced elementary
     letter rewritten to the matching hybrid letter throughout its subproof.
+
+    A subproof shared by several steps is rewritten once per distinct letter
+    rewriting inherited from the C steps below it, so the proof keeps its
+    sharing.  No letter needs renaming: C's letter is fresh for its
+    conclusion and stays on the surface of every formula above, so no C
+    above it introduces that letter again, and sibling subproofs never meet
+    in one formula.
     """
     result = check_proof(proof, budget)
     if not result:
@@ -562,49 +591,19 @@ def to_cl4o(proof: Proof, budget: Budget = Budget()) -> Proof:
     if proof.system != CL4:
         raise ValueError("to_cl4o expects a CL4 proof")
 
-    root = _expand_tree(proof)
-    all_letters = set(_tree_letters(root))
-    claimed: set[str] = set()
+    @cache
+    def hybridize(node: Derivation, renaming: tuple) -> Derivation:
+        formula, rule = node.formula, node.rule
+        for old, new in renaming:
+            formula = replace_letter(formula, old, new)
+        if rule.tag == "C":
+            general = resolve(node.formula, rule.pos).quasiatom.letter
+            hyb = hybrid_letter(general.name, rule.elem, general.arity)
+            renaming += ((elem_letter(rule.elem, general.arity), hyb),)
+            rule = RuleApplication("Co", hybrid=hyb.name)
+        return Derivation(formula, rule, tuple(hybridize(c, renaming) for c in node.children))
 
-    def hybridize(node: _Node) -> None:
-        if node.rule.tag == "C":
-            occ = resolve(node.formula, node.rule.pos)
-            general = occ.quasiatom.letter
-            q_name = node.rule.elem
-            if q_name in claimed:
-                # Another application already introduced this letter; give
-                # this subproof its own, so the rewrite below stays local.
-                q_name = fresh_elem_name(all_letters | claimed | {"t", "u"})
-                all_letters.add(q_name)
-                old = elem_letter(node.rule.elem, general.arity)
-                for child in node.children:
-                    _rewrite_subtree(child, old, elem_letter(q_name, general.arity))
-            claimed.add(q_name)
-            hyb = hybrid_letter(general.name, q_name, general.arity)
-            old = elem_letter(q_name, general.arity)
-            for child in node.children:
-                _rewrite_subtree(child, old, hyb)
-            node.rule = RuleApplication("Co", hybrid=hyb.name)
-        for child in node.children:
-            hybridize(child)
-
-    hybridize(root)
-
-    steps: list[ProofStep] = []
-    index: dict[tuple, int] = {}
-
-    def emit(node: _Node) -> int:
-        child_ids = tuple(emit(c) for c in node.children)
-        key = (node.formula, node.rule, child_ids)
-        if key in index:
-            return index[key]
-        step_id = len(steps) + 1
-        steps.append(ProofStep(step_id, node.formula, node.rule, child_ids))
-        index[key] = step_id
-        return step_id
-
-    emit(root)
-    return Proof(CL4O, steps)
+    return linearize(hybridize(read_derivation(proof), ()), CL4O)
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +611,11 @@ def to_cl4o(proof: Proof, budget: Budget = Budget()) -> Proof:
 # ---------------------------------------------------------------------------
 
 
-def _unreasonable_letters(f: Formula) -> set[str]:
+def _unreasonable_letters(f: Formula) -> dict[str, Letter]:
+    """The unreasonable hybrid letters of f, by name."""
     # is_reasonable reports only the first unreasonable letter, so probe
     # each hybrid letter with the others replaced by their general parts.
-    out = set()
+    out = {}
     hybrids = [lt for lt in letters(f) if lt.kind == "hybrid"]
     for lt in hybrids:
         g = f
@@ -624,15 +624,14 @@ def _unreasonable_letters(f: Formula) -> set[str]:
                 g = replace_letter(g, other, gen_letter(other.general, other.arity))
         r = is_reasonable(g)
         if r.status == "unreasonable" and r.detail == lt.name:
-            out.add(lt.name)
+            out[lt.name] = lt
     return out
 
 
 def _tilde(f: Formula) -> Formula:
     """Replace every unreasonable hybrid letter by its general component."""
-    for lt in letters(f):
-        if lt.kind == "hybrid" and lt.name in _unreasonable_letters(f):
-            f = replace_letter(f, lt, gen_letter(lt.general, lt.arity))
+    for lt in _unreasonable_letters(f).values():
+        f = replace_letter(f, lt, gen_letter(lt.general, lt.arity))
     return f
 
 
@@ -648,48 +647,11 @@ def make_reasonable(proof: Proof, budget: Budget = Budget()) -> Proof:
     if not is_reasonable(proof.conclusion):
         raise ValueError("the conclusion is not reasonable")
 
-    by_id = {s.id: s for s in proof.steps}
-    new_steps: list[ProofStep] = []
-    remap: dict[int, int] = {}
-    index: dict[tuple, int] = {}
+    @cache
+    def reasonable(node: Derivation) -> Derivation:
+        rule, premises = node.rule, node.children
+        if rule.tag == "Co" and rule.hybrid in _unreasonable_letters(premises[0].formula):
+            return reasonable(premises[0])  # the tilde collapses this application
+        return Derivation(_tilde(node.formula), rule, tuple(map(reasonable, premises)))
 
-    def emit(formula: Formula, rule: RuleApplication, premises: tuple[int, ...]) -> int:
-        key = (formula, rule, premises)
-        if key in index:
-            return index[key]
-        step_id = len(new_steps) + 1
-        new_steps.append(ProofStep(step_id, formula, rule, premises))
-        index[key] = step_id
-        return step_id
-
-    for step in proof.steps:
-        tilded = _tilde(step.formula)
-        if step.rule.tag == "Co":
-            premise = by_id[step.premises[0]]
-            if step.rule.hybrid in _unreasonable_letters(premise.formula):
-                # the tilde collapses this application: reuse the premise
-                remap[step.id] = remap[premise.id]
-                continue
-        remap[step.id] = emit(
-            tilded, step.rule, tuple(remap[p] for p in step.premises)
-        )
-
-    # The collapse can leave steps that nothing references; keep only the
-    # conclusion's cone.
-    needed: set[int] = set()
-
-    def mark(step_id: int) -> None:
-        if step_id in needed:
-            return
-        needed.add(step_id)
-        for p in new_steps[step_id - 1].premises:
-            mark(p)
-
-    mark(remap[proof.steps[-1].id])
-    kept = [s for s in new_steps if s.id in needed]
-    renumber = {s.id: i + 1 for i, s in enumerate(kept)}
-    final = [
-        ProofStep(renumber[s.id], s.formula, s.rule, tuple(renumber[p] for p in s.premises))
-        for s in kept
-    ]
-    return Proof(CL4O, final)
+    return linearize(reasonable(read_derivation(proof)), CL4O)

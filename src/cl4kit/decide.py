@@ -30,13 +30,14 @@ from typing import Iterator
 
 from .calculus import (
     CL4,
-    Proof,
-    ProofStep,
     RULE_A,
+    Derivation,
+    Proof,
     RuleApplication,
     b1_targets,
     b2_targets,
     c_pairs,
+    linearize,
     rule_a_premises,
     rule_premise,
 )
@@ -70,13 +71,6 @@ class Decision:
         return self.status == "provable"
 
 
-@dataclass
-class _Derivation:
-    formula: Formula
-    rule: RuleApplication
-    children: list["_Derivation"] = field(default_factory=list)
-
-
 class _DepthExceeded(AssertionError):
     pass
 
@@ -91,7 +85,7 @@ class _Search:
     tainted: bool = False
     trace: list[str] | None = None
     stats: dict | None = None
-    memo: dict[Formula, _Derivation | None] = field(default_factory=dict)
+    memo: dict[Formula, Derivation | None] = field(default_factory=dict)
 
     def note(self, depth: int, f: Formula, rule: RuleApplication | None = None) -> None:
         """Trace line for f: the rule that proved it, or 'fail'.  Formatted
@@ -165,7 +159,7 @@ def _applications(f: Formula, search: _Search) -> Iterator[tuple[RuleApplication
             yield rule, [rule_premise(f, rule)]
 
 
-def _prove(f: Formula, depth: int, search: _Search) -> _Derivation | None:
+def _prove(f: Formula, depth: int, search: _Search) -> Derivation | None:
     if depth > search.max_depth:
         raise _DepthExceeded(
             f"recursion depth {depth} exceeds aggregate complexity bound {search.max_depth}"
@@ -185,28 +179,11 @@ def _prove(f: Formula, depth: int, search: _Search) -> _Derivation | None:
             children.append(sub)
         else:
             search.note(depth, f, rule)
-            search.memo[f] = derivation = _Derivation(f, rule, children)
+            search.memo[f] = derivation = Derivation(f, rule, tuple(children))
             return derivation
     search.note(depth, f)
     search.memo[f] = None
     return None
-
-
-def _linearize(root: _Derivation) -> Proof:
-    steps: list[ProofStep] = []
-    index: dict[Formula, int] = {}
-
-    def emit(node: _Derivation) -> int:
-        if node.formula in index:
-            return index[node.formula]
-        child_ids = tuple(emit(c) for c in node.children)
-        step_id = len(steps) + 1
-        steps.append(ProofStep(step_id, node.formula, node.rule, child_ids))
-        index[node.formula] = step_id
-        return step_id
-
-    emit(root)
-    return Proof(CL4, steps)
 
 
 def _decide(
@@ -230,7 +207,7 @@ def _decide(
         stats.setdefault("memo_hits", 0)
     derivation = _prove(f, 1, search)
     if derivation is not None:
-        return Decision("provable", _linearize(derivation))
+        return Decision("provable", linearize(derivation, CL4))
     if search.tainted:
         return Decision("unknown", reason="a stability check exhausted its budget")
     return Decision("unprovable")

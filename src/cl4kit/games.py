@@ -236,7 +236,7 @@ def parse_move(f: Formula, move: str) -> tuple[Occurrence, str] | None:
     indices = map(int, takewhile(str.isdecimal, move.split(".")[:-1]))
     try:
         _, occ = surface_path(f, indices)
-    except KeyError:
+    except (KeyError, ValueError):  # ValueError: more digits than int() reads
         return None
     return occ, move.split(".", len(occ.address))[-1]
 
@@ -250,6 +250,15 @@ def choice_mover(qa: Formula, polarity: int) -> str:
     raise ValueError("not a choice quasiatom")
 
 
+def _natural(digits: str) -> int | None:
+    """The number a move's digit string spells; None when it has more digits
+    than int() reads (sys.get_int_max_str_digits), so the move is illegal."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _instance(q: Formula, c: int) -> Formula:
     """A quantifier's body at the constant c."""
     return substitute(q.body, q.var, Const(c))
@@ -261,7 +270,9 @@ def _choice_component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
     player or a bad payload."""
     if m.player != choice_mover(qa, 1) or not re.fullmatch(r"\d+", m.move):
         return None
-    n = int(m.move)
+    n = _natural(m.move)
+    if n is None:
+        return None
     if qa.bound_var is not None:
         return _instance(qa, n) if n < universe else None
     return qa.parts[n - 1] if 1 <= n <= len(qa.parts) else None
@@ -293,8 +304,8 @@ def _route(node: Formula, run: Run) -> list[Run] | None:
             im = _INDEX_RE.match(m.move)
             if not im:
                 return None
-            i = int(im.group(1))
-            if not 1 <= i <= width:
+            i = _natural(im.group(1))
+            if i is None or not 1 <= i <= width:
                 return None
             groups[i - 1].append(LabMove(m.player, m.move[im.end():]))
     return [negate_run(g) if s < 0 else tuple(g) for g, s in zip(groups, node.signs)]

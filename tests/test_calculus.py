@@ -21,9 +21,20 @@ from cl4kit.calculus import (
     to_cl4o,
 )
 from cl4kit.classical import tautology_qf
-from cl4kit.syntax import Const, Var, is_reasonable, parse, pretty
+from cl4kit.decide import decide_blindfree
+from cl4kit.syntax import (
+    Const,
+    Var,
+    elem_letter,
+    hybrid_letter,
+    is_reasonable,
+    parse,
+    pretty,
+    replace_letter,
+    resolve,
+)
 
-from helpers import random_qf_elementary
+from helpers import random_blindfree, random_qf_elementary
 
 
 def golden_choice_proof() -> Proof:
@@ -293,6 +304,91 @@ class TestToCl4o:
         p = Proof(CL4, [ProofStep(1, parse("P \\/ ~P"), RULE_A, ())])
         with pytest.raises(ValueError):
             to_cl4o(p)
+
+
+def _tree_cl4o(proof: Proof) -> Proof:
+    """Reference for to_cl4o without its memo: walk the proof as a tree,
+    rewrite each C letter to its hybrid in the whole subtree above it, and
+    share equal (formula, rule, premise ids) steps."""
+    by_id = {s.id: s for s in proof.steps}
+    steps: list[ProofStep] = []
+    ids: dict[tuple, int] = {}
+
+    def emit(step_id: int, renaming: tuple) -> int:
+        step = by_id[step_id]
+        formula, rule = step.formula, step.rule
+        for old, new in renaming:
+            formula = replace_letter(formula, old, new)
+        if rule.tag == "C":
+            general = resolve(step.formula, rule.pos).quasiatom.letter
+            hyb = hybrid_letter(general.name, rule.elem, general.arity)
+            renaming += ((elem_letter(rule.elem, general.arity), hyb),)
+            rule = RuleApplication("Co", hybrid=hyb.name)
+        premises = tuple(emit(p, renaming) for p in step.premises)
+        key = (formula, rule, premises)
+        if key not in ids:
+            ids[key] = len(steps) + 1
+            steps.append(ProofStep(ids[key], formula, rule, premises))
+        return ids[key]
+
+    emit(proof.steps[-1].id, ())
+    return Proof(CL4O, steps)
+
+
+class TestCl4oSharing:
+    """to_cl4o keeps the sharing of the CL4 proof it transforms."""
+
+    @pytest.mark.parametrize(
+        "text, steps",
+        [
+            ("P -> P !/\\ P", 3),
+            ("(P !\\/ Q) /\\ (P !\\/ R) -> P !\\/ (Q /\\ R)", 18),
+            ("(P !\\/ Q) /\\ (P !\\/ R) /\\ (P !\\/ S) -> P !\\/ (Q /\\ R /\\ S)", 45),
+        ],
+        ids=["clause-5", "clause-6", "four-letter-clause-6"],
+    )
+    def test_cl4o_proof_as_small_as_cl4_proof(self, text, steps):
+        proof = decide_blindfree(parse(text)).proof
+        h = to_cl4o(proof)
+        assert len(proof.steps) == steps
+        assert len(h.steps) == steps
+        assert check_proof(h).ok
+        assert len(make_reasonable(h).steps) == steps
+
+    def test_premise_shared_by_two_c_steps(self):
+        # step 1 is the premise of two C steps that introduce the letter a
+        # for P and for Q, so it needs one CL4o step per rewriting
+        f = parse("Q !\\/ (P /\\ Q !\\/ P) -> ~P \\/ ((Q !\\/ P) !\\/ p !/\\ P)")
+        proof = decide_blindfree(f).proof
+        assert len(_check_transforms(f, proof).steps) == len(proof.steps) + 1 == 14
+
+    def test_random_blindfree_differential(self):
+        rng = random.Random(9090)
+        proved = with_c = 0
+        while proved < 40:
+            f = random_blindfree(rng, depth=3)
+            decision = decide_blindfree(f)
+            if not decision.is_provable:
+                continue
+            proved += 1
+            with_c += any(s.rule.tag == "C" for s in decision.proof.steps)
+            _check_transforms(f, decision.proof)
+        assert with_c >= 10
+
+
+def _check_transforms(f, proof: Proof) -> Proof:
+    """to_cl4o agrees with the tree reference, and its output and that of
+    make_reasonable check and prove f; make_reasonable's steps are all
+    reasonable.  Returns the CL4o proof."""
+    h = to_cl4o(proof)
+    assert proof_to_json(h) == proof_to_json(_tree_cl4o(proof)), pretty(f)
+    m = make_reasonable(h)
+    for out in (h, m):
+        result = check_proof(out)
+        assert result.ok, (pretty(f), result.step_id, result.message)
+        assert out.conclusion == f
+    assert all(is_reasonable(s.formula) for s in m.steps), pretty(f)
+    return h
 
 
 class TestMakeReasonable:

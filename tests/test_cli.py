@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cl4kit.calculus import make_reasonable, proof_to_json, to_cl4o
 from cl4kit.cli import main
+from cl4kit.decide import decide_blindfree
+from cl4kit.syntax import parse
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +212,22 @@ class TestEvalRun:
         )
         assert code == 0 and "winner" in out
 
+    @pytest.mark.parametrize(
+        "move", ["1" + "0" * 5000 + ".1", "1." + "1" * 5000], ids=["index", "payload"]
+    )
+    def test_overlong_number_is_illegal(self, capsys, move):
+        code, out, err = run_cli(
+            capsys,
+            "eval-run",
+            "--formula",
+            "(e1 !\\/ e2) /\\ (e3 !/\\ e4)",
+            "--universe",
+            "2",
+            "--moves",
+            json.dumps([{"player": "T", "move": move}]),
+        )
+        assert (code, out.strip(), err) == (1, "illegal", "")
+
     def test_illegal_run_exit_one(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -297,11 +317,11 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
-def _exit_cleanly(*argv):
+def _exit_cleanly(*argv, codes=(0, 1, 3)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    assert code in (0, 1, 3), (argv, code, err.getvalue())
+    assert code in codes, (argv[:3], code, err.getvalue()[:300])
     assert "Traceback" not in err.getvalue()
 
 
@@ -318,6 +338,99 @@ class TestGameCommandsFuzz:
         path = fuzz_dir / "run.json"
         path.write_text(json.dumps(run))
         _exit_cleanly("manageable", "--formula", formula, "--run", str(path))
+
+
+# Proof documents for the proof loader: valid CL4 and CL4o proofs, mangled
+# by a few edits each: wrong types, deleted keys, dangling, forward and
+# self-referencing premises, bad addresses and terms, and integers past
+# int()'s digit limit (spliced into the JSON text as _HUGE).
+_FUZZ_PROOFS = [
+    proof_to_json(decide_blindfree(parse("(P !\\/ Q) /\\ (P !\\/ S) -> P !\\/ (Q /\\ S)")).proof),
+    proof_to_json(decide_blindfree(parse("!A x. !E y. (Q(x) -> Q(y))")).proof),
+    proof_to_json(make_reasonable(to_cl4o(decide_blindfree(parse("P -> P")).proof))),
+    proof_to_json(make_reasonable(to_cl4o(decide_blindfree(parse("S -> S !/\\ S")).proof))),
+]
+_HUGE = "1" + "0" * 5000
+_STEP_KEYS = ["id", "formula", "rule", "premises", "params"]
+_PARAM_KEYS = ["addr", "index", "term", "pos", "neg", "elem", "hybrid"]
+_ADDRESSES = st.sampled_from(["", "1.", "2.", "2.1.", "1..", "0.", "x.", "1", "9" * 5000 + "."])
+_FUZZ_FIELDS = {
+    "system": st.sampled_from(["CL4", "CL4o", "cl4"]),
+    "id": st.integers(-1, 12),
+    "formula": st.sampled_from(
+        sorted({s["formula"] for d in _FUZZ_PROOFS for s in d["steps"]}) + ["((", "P#q \\/ ~P"]
+    ),
+    "rule": st.sampled_from(["A", "B1", "B2", "C", "Co", "D"]),
+    "premises": st.lists(st.integers(-1, 12), max_size=3),
+    "params": st.dictionaries(st.sampled_from(_PARAM_KEYS), st.sampled_from(["1.", "p", 1])),
+    "addr": _ADDRESSES,
+    "pos": _ADDRESSES,
+    "neg": _ADDRESSES,
+    "index": st.integers(-1, 4),
+    "term": st.sampled_from(["0", "1", "x", "y", "z", "-1", "y z", "\u00b2", "\u0661", "9" * 5000]),
+    "elem": st.sampled_from(["p", "q", "P", "T", "x", "P#p"]),
+    "hybrid": st.sampled_from(["P#p", "P#q", "S#p", "P", "p"]),
+}
+_WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.just(10**30),
+    st.just("<huge>"),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "steps"]), st.integers(0, 3), max_size=2),
+)
+
+
+def _fuzz_value(key: str):
+    return st.one_of(_FUZZ_FIELDS[key], _WRONG_TYPES)
+
+
+@st.composite
+def _mangled_proofs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_PROOFS)))
+    for _ in range(draw(st.integers(0, 2))):
+        steps = doc["steps"] if isinstance(doc["steps"], list) else []
+        steps = [s for s in steps if isinstance(s, dict)]
+        edit = draw(st.sampled_from(["top", "set", "set", "delete", "param", "param", "premises"]))
+        if edit == "top" or not steps:
+            key = draw(st.sampled_from(["system", "steps"]))
+            doc[key] = draw(_fuzz_value("system") if key == "system" else _WRONG_TYPES)
+            continue
+        step = draw(st.sampled_from(steps))
+        key = draw(st.sampled_from(_STEP_KEYS))
+        if edit == "set":
+            step[key] = draw(_fuzz_value(key))
+        elif edit == "delete":
+            step.pop(key, None)
+        elif edit == "param" and isinstance(step.get("params"), dict):
+            key = draw(st.sampled_from(_PARAM_KEYS))
+            step["params"][key] = draw(_fuzz_value(key))
+        elif edit == "premises" and type(step.get("id")) is int:
+            target = draw(st.sampled_from([0, 1, 99]))  # self, forward, dangling
+            step["premises"] = [step["id"] + target]
+    return json.dumps(doc).replace('"<huge>"', _HUGE)
+
+
+class TestProofLoaderFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mangled_proofs(), st.booleans())
+    def test_check(self, fuzz_dir, document, as_json):
+        path = fuzz_dir / "proof.json"
+        path.write_text(document)
+        _exit_cleanly("check", "--proof", str(path), *(["--json"] if as_json else []))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mangled_proofs(), st.sampled_from([["1.1", "pass"], ["1.2"], ["2.0", "1.1.1"], []]))
+    def test_play(self, fuzz_dir, document, env):
+        path, env_path = fuzz_dir / "proof.json", fuzz_dir / "env.json"
+        path.write_text(document)
+        env_path.write_text(json.dumps(env))
+        _exit_cleanly(
+            "play", "--proof", str(path), "--interp", str(fuzz_dir / "interp.json"),
+            "--env", str(env_path), "--check-invariants", codes=(0, 1, 2, 3),
+        )
 
 
 class TestJsonRoundTrips:

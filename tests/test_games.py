@@ -788,6 +788,41 @@ class TestGarbledRuns:
                         assert (move in listed) == (extended in found)
 
 
+class TestOverlongNumbers:
+    """A move index or payload with more digits than int() reads makes the
+    run illegal; no evaluator raises int()'s own ValueError."""
+
+    HUGE = "1" + "0" * 5000
+
+    @pytest.mark.parametrize(
+        "text, move",
+        [
+            ("(e1 !\\/ e2) /\\ (e3 !/\\ e4)", HUGE + ".1"),
+            ("(e1 !\\/ e2) /\\ (e3 !/\\ e4)", "1." + HUGE),
+            ("!E x. l1(x)", HUGE),
+        ],
+        ids=["index", "payload", "constant"],
+    )
+    def test_run_is_illegal(self, text, move):
+        f, interp = parse(text), Interpretation(universe=2)
+        run = run_of((TOP_PLAYER, move))
+        assert is_unilegal(f, interp, run) is False
+        for evaluate in (
+            lambda: winner(f, interp, run),
+            lambda: residual(f, interp, run),
+            lambda: legal_moves(f, interp, run, TOP_PLAYER),
+        ):
+            with pytest.raises(ValueError) as ex:
+                evaluate()
+            assert "digits" not in str(ex.value)
+
+    def test_parse_move(self):
+        f = parse("(e1 !\\/ e2) /\\ (e3 !/\\ e4)")
+        assert parse_move(f, self.HUGE + ".1") is None
+        occ, payload = parse_move(f, "1." + self.HUGE)
+        assert occ.address == (1,) and payload == self.HUGE
+
+
 def _manageable_run(rng, f, interp, rounds):
     """Environment moves confined to general/hybrid quasiatoms with
     immediate copy-cat replies in hybrids."""
