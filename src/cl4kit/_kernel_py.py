@@ -45,9 +45,6 @@ def falsifying(program, n_atoms: int):
         elif op == 5:
             b = stack.pop()
             stack[-1] |= b
-        elif op == 6:
-            b = stack.pop()
-            stack[-1] = (mask ^ stack[-1]) | b
         else:
             raise ValueError(f"bad opcode {op}")
     if len(stack) != 1:

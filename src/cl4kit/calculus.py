@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .classical import Budget, is_stable
-from .games import BOT_PLAYER, TOP_PLAYER, choice_mover
+from .games import BOT_PLAYER, TOP_PLAYER, choice_mover, read_json
 from .syntax import (
     Address,
     Atom,
@@ -518,8 +518,7 @@ def save_proof(proof: Proof, path: str) -> None:
 
 
 def load_proof(path: str) -> Proof:
-    with open(path) as fh:
-        return proof_from_json(json.load(fh))
+    return proof_from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -15,25 +15,18 @@ from dataclasses import dataclass, field
 from . import kernel
 from .syntax import (
     BOT,
+    QUASIATOM,
     TOP,
     Atom,
     BlindAll,
-    BlindEx,
-    ChoAll,
-    ChoAnd,
-    ChoEx,
-    ChoOr,
     Const,
     Formula,
-    Implies,
-    Neg,
-    ParAnd,
-    ParOr,
     Term,
     Var,
     constants,
     elem_letter,
     free_variables,
+    is_blind_free,
     is_elementary,
     subformulas,
     substitute,
@@ -77,19 +70,14 @@ class Countermodel:
                 return f.letter.name == "T"
             key = (f.letter.name, tuple(self.term_value(t, env) for t in f.args))
             return self.table.get(key, False)
-        if isinstance(f, Neg):
-            return not self.evaluate(f.body, env)
-        if isinstance(f, ParAnd):
-            return all(self.evaluate(p, env) for p in f.parts)
-        if isinstance(f, ParOr):
-            return any(self.evaluate(p, env) for p in f.parts)
-        if isinstance(f, Implies):
-            return (not self.evaluate(f.lhs, env)) or self.evaluate(f.rhs, env)
-        if isinstance(f, BlindAll):
-            return all(self.evaluate(f.body, {**env, f.var: d}) for d in range(self.size))
-        if isinstance(f, BlindEx):
-            return any(self.evaluate(f.body, {**env, f.var: d}) for d in range(self.size))
-        raise ValueError("countermodels only evaluate elementary formulas")
+        if f.surface is QUASIATOM:  # a choice
+            raise ValueError("countermodels only evaluate elementary formulas")
+        if f.bound_var is not None:
+            (body,) = f.children
+            values = (self.evaluate(body, {**env, f.bound_var: d}) for d in range(self.size))
+        else:
+            values = (self.evaluate(c, env) == (s > 0) for c, s in zip(f.children, f.signs))
+        return all(values) if f.conjunctive else any(values)
 
     def to_json(self) -> dict:
         return {
@@ -142,19 +130,9 @@ def elementarize(f: Formula) -> Formula:
             if node.letter.kind == "hybrid":
                 return Atom(elem_letter(node.letter.elementary, node.letter.arity), node.args)
             return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.body, -pol))
-        if isinstance(node, (ParAnd, ParOr)):
-            return type(node)(tuple(walk(p, pol) for p in node.parts))
-        if isinstance(node, Implies):
-            return Implies(walk(node.lhs, -pol), walk(node.rhs, pol))
-        if isinstance(node, (BlindAll, BlindEx)):
-            return type(node)(node.var, walk(node.body, pol))
-        if isinstance(node, (ChoAnd, ChoAll)):
-            return TOP
-        if isinstance(node, (ChoOr, ChoEx)):
-            return BOT
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+        if node.surface is QUASIATOM:  # a choice
+            return TOP if node.conjunctive else BOT
+        return node.rebuild([walk(c, pol * s) for c, s in zip(node.children, node.signs)])
 
     return walk(f, 1)
 
@@ -167,7 +145,7 @@ def elementarize(f: Formula) -> Formula:
 def tautology_qf(f: Formula) -> bool:
     """True iff f holds under every boolean assignment to its distinct
     atoms.  Rejects quantified input."""
-    if any(isinstance(g, (BlindAll, BlindEx)) for g in subformulas(f)):
+    if not is_blind_free(f):
         raise ValueError("tautology_qf requires quantifier-free input")
     if not is_elementary(f):
         raise ValueError("tautology_qf requires elementary input")
@@ -238,33 +216,19 @@ def _tableau_closes(f: Formula, budget: Budget) -> bool:
                 if (not sign, g) in lits:
                     return True
                 lits.add((sign, g))
-            elif isinstance(g, Neg):
-                agenda.append((not sign, g.body))
-            elif isinstance(g, ParAnd):
-                if sign:
-                    agenda.extend((True, p) for p in g.parts)
-                else:
-                    betas.append([(False, p) for p in g.parts])
-            elif isinstance(g, ParOr):
-                if sign:
-                    betas.append([(True, p) for p in g.parts])
-                else:
-                    agenda.extend((False, p) for p in g.parts)
-            elif isinstance(g, Implies):
-                if sign:
-                    betas.append([(False, g.lhs), (True, g.rhs)])
-                else:
-                    agenda.extend([(True, g.lhs), (False, g.rhs)])
-            elif isinstance(g, (BlindAll, BlindEx)):
-                universal = sign if isinstance(g, BlindAll) else not sign
-                if universal:
+            elif g.bound_var is not None:
+                if sign == g.conjunctive:  # universal: instantiated later
                     gammas.append((sign, g))
                 else:
                     p = next(counter)
                     params.append(p)
                     agenda.append((sign, substitute(g.body, g.var, Const(p))))
             else:
-                raise ValueError("tableau input must be elementary")
+                signed = [(sign == (s > 0), c) for c, s in zip(g.children, g.signs)]
+                if sign == g.conjunctive or len(signed) == 1:
+                    agenda.extend(signed)
+                else:
+                    betas.append(signed)
         if betas:
             branch = betas.pop()
             return all(
@@ -339,7 +303,7 @@ def fo_validity(f: Formula, budget: Budget = Budget()) -> Verdict:
     both certified; Unknown signals budget exhaustion."""
     if not is_elementary(f):
         raise ValueError("fo_validity requires elementary input")
-    if not any(isinstance(g, (BlindAll, BlindEx)) for g in subformulas(f)):
+    if is_blind_free(f):
         model = _qf_countermodel(f)
         return VALID if model is None else Verdict("invalid", model)
     try:

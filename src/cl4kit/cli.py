@@ -12,6 +12,7 @@ import sys
 
 from . import __version__
 from .calculus import (
+    CL4,
     check_proof,
     load_proof,
     make_reasonable,
@@ -28,6 +29,7 @@ from .games import (
     is_unilegal,
     load_interpretation,
     load_run,
+    read_json,
     run_from_json,
     winner,
 )
@@ -145,8 +147,7 @@ def _cmd_translate(args) -> int:
     if not args.signature:
         print("translate floor requires --signature", file=sys.stderr)
         return EXIT_ERROR
-    with open(args.signature) as fh:
-        sig = MoleculeSignature.from_json(json.load(fh))
+    sig = MoleculeSignature.from_json(read_json(args.signature))
     good = is_good(f, sig)
     out = floorify(f, sig)
     payload = {
@@ -161,15 +162,18 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_play(args) -> int:
+    budget = _budget(args)
     proof = load_proof(args.proof)
+    if proof.system == CL4:
+        # a CL4 proof plays as the reasonable CL4o proof prove --reasonable emits
+        proof = make_reasonable(to_cl4o(proof, budget), budget)
     interp = load_interpretation(args.interp)
-    with open(args.env) as fh:
-        env_moves = json.load(fh)
+    env_moves = read_json(args.env)
     if not isinstance(env_moves, list) or not all(isinstance(m, str) for m in env_moves):
         print("environment script must be a JSON list of move strings", file=sys.stderr)
         return EXIT_ERROR
     transcript = extract_and_play(
-        proof, interp, env_moves, max_steps=args.max_steps, budget=_budget(args)
+        proof, interp, env_moves, max_steps=args.max_steps, budget=budget
     )
     payload = transcript.to_json()
     if args.check_invariants:
@@ -197,7 +201,10 @@ def _cmd_eval_run(args) -> int:
         interp = load_interpretation(args.interp)
     else:
         interp = Interpretation(universe=args.universe)
-    run = load_run(args.run) if args.run else run_from_json(json.loads(args.moves or "[]"))
+    if args.run:
+        run = load_run(args.run)
+    else:
+        run = run_from_json(read_json("--moves", args.moves or "[]"))
     legal = is_unilegal(f, interp, run)
     payload = {"formula": pretty(f), "legal": legal}
     if legal:
@@ -209,11 +216,7 @@ def _cmd_eval_run(args) -> int:
 
 
 def _cmd_delay(args) -> int:
-    with open(args.candidate) as fh:
-        d = run_from_json(json.load(fh))
-    with open(args.of) as fh:
-        g = run_from_json(json.load(fh))
-    ok = is_top_delay(d, g)
+    ok = is_top_delay(load_run(args.candidate), load_run(args.of))
     _emit(args, {"top_delay": ok}, "true" if ok else "false")
     return EXIT_YES if ok else EXIT_NO
 
@@ -245,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def budgeted(p):
+        common(p)
         p.add_argument("--budget", type=int, default=None, metavar="N",
                        help="classical-checker budget (tableau depth)")
 
@@ -253,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extended", action="store_true", help="allow blind quantifiers")
     p.add_argument("--emit-proof", metavar="PATH")
     p.add_argument("--trace", action="store_true", help="dump the search tree")
-    common(p)
+    budgeted(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("prove", help="decide and print the proof")
@@ -262,18 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reasonable", action="store_true",
                    help="emit a reasonable CL4o proof instead of a CL4 proof")
     p.add_argument("--emit-proof", metavar="PATH")
-    common(p)
+    budgeted(p)
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("check", help="verify a proof file")
     p.add_argument("--proof", required=True, metavar="PATH")
-    common(p)
+    budgeted(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("elementarize", help="print the elementarization")
     p.add_argument("formula")
     p.add_argument("--stability", action="store_true", help="also decide stability")
-    common(p)
+    budgeted(p)
     p.set_defaults(func=_cmd_elementarize)
 
     p = sub.add_parser("translate", help="molecule translation")
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True, metavar="PATH")
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--check-invariants", action="store_true")
-    common(p)
+    budgeted(p)
     p.set_defaults(func=_cmd_play)
 
     p = sub.add_parser("eval-run", help="legality and winner of a run")

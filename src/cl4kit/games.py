@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -32,15 +33,9 @@ from .syntax import (
     PARALLEL,
     QUASIATOM,
     TRANSPARENT,
-    BlindAll,
-    ChoAll,
-    ChoAnd,
-    ChoEx,
-    ChoOr,
     Const,
     Formula,
     Occurrence,
-    ParAnd,
     addr_str,
     apply_valuation,
     atoms,
@@ -198,9 +193,29 @@ class Interpretation:
         return cls(universe, elementary, general)
 
 
+def read_json(path: str, text: str | None = None):
+    """The JSON document in the file at path, or in text when it is given
+    (path then only names the document).  An integer with more digits than
+    int() reads (sys.get_int_max_str_digits) raises ValueError naming the
+    document and the number."""
+    if text is None:
+        with open(path) as fh:
+            text = fh.read()
+
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise ValueError(
+                f"{path}: the integer {digits[:8]}...{digits[-8:]} has {len(digits)} "
+                f"digits, more than the {sys.get_int_max_str_digits()} that can be read"
+            ) from None
+
+    return json.loads(text, parse_int=integer)
+
+
 def load_interpretation(path: str) -> Interpretation:
-    with open(path) as fh:
-        return Interpretation.from_json(json.load(fh))
+    return Interpretation.from_json(read_json(path))
 
 
 def run_from_json(doc: list) -> Run:
@@ -217,8 +232,7 @@ def run_from_json(doc: list) -> Run:
 
 
 def load_run(path: str) -> Run:
-    with open(path) as fh:
-        return run_from_json(json.load(fh))
+    return run_from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +256,9 @@ def parse_move(f: Formula, move: str) -> tuple[Occurrence, str] | None:
 
 
 def choice_mover(qa: Formula, polarity: int) -> str:
-    """Which player resolves this choice quasiatom at this polarity."""
-    if isinstance(qa, (ChoAnd, ChoAll)):
-        return BOT_PLAYER if polarity > 0 else TOP_PLAYER
-    if isinstance(qa, (ChoOr, ChoEx)):
-        return TOP_PLAYER if polarity > 0 else BOT_PLAYER
-    raise ValueError("not a choice quasiatom")
+    """Which player resolves this choice quasiatom at this polarity: the
+    environment a positive conjunctive choice or a negative disjunctive one."""
+    return BOT_PLAYER if qa.conjunctive == (polarity > 0) else TOP_PLAYER
 
 
 def _natural(digits: str) -> int | None:
@@ -344,23 +355,19 @@ def _play(f: Formula, run: Run, interp: Interpretation) -> bool | None:
         if won is None:
             return None
         values.append(won if sign > 0 else not won)
-    # parallel and blind conjunctions need every game won; the rest need one
-    return all(values) if isinstance(f, (ParAnd, BlindAll)) else any(values)
+    # conjunctions need every game won; the rest need one
+    return all(values) if f.conjunctive else any(values)
 
 
-def is_unilegal(
-    f: Formula, interp: Interpretation, run: Run, valuation: dict[str, int] | None = None
-) -> bool:
+def is_unilegal(f: Formula, interp: Interpretation, run: Run) -> bool:
     """Legality of the run in the game f denotes (an unresolvable move
-    makes the run illegal rather than raising)."""
-    return _play(apply_valuation(f, valuation or {}), run, interp) is not None
+    makes the run illegal rather than raising).  Free variables read as 0."""
+    return _play(apply_valuation(f, {}), run, interp) is not None
 
 
-def winner(
-    f: Formula, interp: Interpretation, run: Run, valuation: dict[str, int] | None = None
-) -> str:
+def winner(f: Formula, interp: Interpretation, run: Run) -> str:
     """Who wins the (unilegal) run: "T" or "B"."""
-    won = _play(apply_valuation(f, valuation or {}), run, interp)
+    won = _play(apply_valuation(f, {}), run, interp)
     if won is None:
         raise ValueError("winner is defined for unilegal runs only")
     return TOP_PLAYER if won else BOT_PLAYER
@@ -475,16 +482,14 @@ class ResidualState:
         return dict(self.stored)
 
 
-def residual(
-    f: Formula, interp: Interpretation, run: Run, valuation: dict[str, int] | None = None
-) -> ResidualState:
+def residual(f: Formula, interp: Interpretation, run: Run) -> ResidualState:
     """What remains of the game f after the run.  The run is replayed once,
     move by move: a choice move rewrites its quasiatom into the component it
     picks, and a move inside a general or hybrid quasiatom is stored there.
     Each stored subrun is then checked in its quasiatom's own game.  Raises
     ValueError when the run is not unilegal."""
     stored: dict[Address, tuple[Occurrence, list[LabMove]]] = {}
-    current = apply_valuation(f, valuation or {})
+    current = apply_valuation(f, {})
     for m in run:
         parsed = parse_move(current, m.move)
         if parsed is None:
@@ -517,13 +522,7 @@ def residual(
 # ---------------------------------------------------------------------------
 
 
-def legal_moves(
-    f: Formula,
-    interp: Interpretation,
-    run: Run,
-    player: str,
-    valuation: dict[str, int] | None = None,
-) -> list[str]:
+def legal_moves(f: Formula, interp: Interpretation, run: Run, player: str) -> list[str]:
     """All single moves the player may legally add after `run`.  Raises
     ValueError when the run is not unilegal."""
 
@@ -555,4 +554,4 @@ def legal_moves(
             out.extend(tag + m for m in collect(child, r, who if sign > 0 else flip(who)))
         return out
 
-    return collect(apply_valuation(f, valuation or {}), run, player)
+    return collect(apply_valuation(f, {}), run, player)

@@ -10,30 +10,20 @@ limited by Python's stack depth.  ``MAX_SWEEP_ATOMS`` is the measured
 crossover: at 18 atoms the two take about the same time per call, and from
 19 atoms on the sweep, which doubles with each atom, is the slower.
 
-Opcodes: 0 LOAD, 1 FALSE, 2 TRUE, 3 NOT, 4 AND, 5 OR, 6 IMP.
+Opcodes: 0 LOAD, 1 FALSE, 2 TRUE, 3 NOT, 4 AND, 5 OR.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .syntax import (
-    Atom,
-    BlindAll,
-    BlindEx,
-    Formula,
-    Implies,
-    Neg,
-    ParAnd,
-    ParOr,
-    is_choice,
-)
+from .syntax import QUASIATOM, Atom, Formula
 
 from . import _kernel_py
 
 MAX_SWEEP_ATOMS = 18
 
-OP_LOAD, OP_FALSE, OP_TRUE, OP_NOT, OP_AND, OP_OR, OP_IMP = range(7)
+OP_LOAD, OP_FALSE, OP_TRUE, OP_NOT, OP_AND, OP_OR = range(6)
 
 
 def compile_program(f: Formula) -> tuple[list[int], list[Atom]]:
@@ -60,23 +50,17 @@ def compile_program(f: Formula) -> tuple[list[int], list[Atom]]:
                 atom_index[node] = idx
                 atom_list.append(node)
             ops.extend((OP_LOAD, idx))
-        elif isinstance(node, Neg):
-            emit(node.body)
-            ops.extend((OP_NOT, 0))
-        elif isinstance(node, (ParAnd, ParOr)):
-            fold = OP_AND if isinstance(node, ParAnd) else OP_OR
-            emit(node.parts[0])
-            for part in node.parts[1:]:
-                emit(part)
-                ops.extend((fold, 0))
-        elif isinstance(node, Implies):
-            emit(node.lhs)
-            emit(node.rhs)
-            ops.extend((OP_IMP, 0))
-        elif isinstance(node, (BlindAll, BlindEx)) or is_choice(node):
+            return
+        if node.surface is QUASIATOM or node.bound_var is not None:  # a choice or quantifier
             raise ValueError("kernel input must be quantifier-free and elementary")
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
+        fold = OP_AND if node.conjunctive else OP_OR
+        signs = node.signs
+        for k, child in enumerate(node.children):
+            emit(child)
+            if signs[k] < 0:
+                ops.extend((OP_NOT, 0))
+            if k:
+                ops.extend((fold, 0))
 
     emit(f)
     return ops, atom_list
@@ -134,11 +118,9 @@ def _clausify_negation(ops: list[int], n_atoms: int) -> tuple[list[list[int]], i
             stack.append(v)
         elif op == OP_NOT:
             stack[-1] = -stack[-1]
-        elif op in (OP_AND, OP_OR, OP_IMP):
+        elif op in (OP_AND, OP_OR):
             b = stack.pop()
             a = stack.pop()
-            if op == OP_IMP:
-                a, op = -a, OP_OR
             v = fresh()
             if op == OP_AND:
                 clauses.extend(([-v, a], [-v, b], [v, -a, -b]))

@@ -35,8 +35,6 @@ from .games import (
 )
 from .syntax import (
     Atom,
-    ChoAnd,
-    ChoOr,
     Const,
     Formula,
     Occurrence,
@@ -275,7 +273,7 @@ def extract_and_play(
             required = [
                 r for r in rule_a_premises(current.formula) if r.occurrence.address == occ.address
             ]
-            req = required[int(payload) - 1 if isinstance(qa, (ChoAnd, ChoOr)) else 0]
+            req = required[int(payload) - 1 if qa.bound_var is None else 0]
             premises = [proof.step(pid) for pid in current.premises]
             found = match_a_premise(current.formula, req, [p.formula for p in premises])
             if found is None:

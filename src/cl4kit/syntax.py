@@ -113,8 +113,10 @@ class Formula:
     in address order), ``rebuild(children)`` (the same node over new
     children), ``signs`` (each child's polarity relative to the node's: -1
     for a negation's body and an implication's antecedent, else 1),
-    ``bound_var`` (the variable a quantifier binds, else None) and
-    ``surface`` (its surface role).
+    ``bound_var`` (the variable a quantifier binds, else None),
+    ``surface`` (its surface role) and ``conjunctive`` (True for the
+    conjunctive member of each dual pair: parallel and choice conjunction,
+    blind and choice universal quantification).
     """
 
     __slots__ = ()
@@ -122,6 +124,7 @@ class Formula:
     signs: tuple[int, ...] = ()
     bound_var: str | None = None
     surface = QUASIATOM
+    conjunctive = False
 
     def rebuild(self, children: Iterable[Formula]) -> Formula:
         return self
@@ -182,6 +185,7 @@ class _Chain(Formula):
 class ParAnd(_Chain):
     _name = "parallel conjunction"
     surface = PARALLEL
+    conjunctive = True
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,7 @@ class Implies(Formula):
 @dataclass(frozen=True)
 class ChoAnd(_Chain):
     _name = "choice conjunction"
+    conjunctive = True
 
 
 @dataclass(frozen=True)
@@ -237,6 +242,7 @@ class _Quantifier(Formula):
 @dataclass(frozen=True)
 class BlindAll(_Quantifier):
     surface = TRANSPARENT
+    conjunctive = True
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,7 @@ class BlindEx(_Quantifier):
 
 @dataclass(frozen=True)
 class ChoAll(_Quantifier):
-    pass
+    conjunctive = True
 
 
 @dataclass(frozen=True)

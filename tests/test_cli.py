@@ -116,10 +116,57 @@ class TestMalformedInput:
         assert code == 3
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # every JSON document the CLI reads, each holding an integer past int()'s
+    # digit limit; {doc} is the document's path, {huge} the integer
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--proof", "{doc}"],
+            ["eval-run", "--formula", "p", "--interp", "{doc}"],
+            ["eval-run", "--formula", "p", "--run", "{doc}"],
+            ["eval-run", "--formula", "p", "--moves", "[{huge}]"],
+            ["manageable", "--formula", "P", "--run", "{doc}"],
+            ["delay", "--candidate", "{doc}", "--of", "{empty}"],
+            ["delay", "--candidate", "{empty}", "--of", "{doc}"],
+            ["translate", "floor", "p", "--signature", "{doc}"],
+            ["play", "--proof", "{doc}", "--interp", "{empty}", "--env", "{empty}"],
+            ["play", "--proof", "{proof}", "--interp", "{doc}", "--env", "{empty}"],
+            ["play", "--proof", "{proof}", "--interp", "{interp}", "--env", "{doc}"],
+        ],
+        ids=[
+            "proof", "interp", "run", "moves", "manageable-run", "delay-candidate",
+            "delay-of", "signature", "play-proof", "play-interp", "play-env",
+        ],
+    )
+    def test_overlong_json_integer_exit_three(self, capsys, tmp_path, argv):
+        huge = "1" + "0" * 5000
+        paths = {name: tmp_path / f"{name}.json" for name in ("doc", "empty", "proof", "interp")}
+        paths["doc"].write_text(f"[{huge}]")
+        paths["empty"].write_text("[]")
+        paths["interp"].write_text('{"universe": 1}')
+        run_cli(capsys, "prove", "P -> P", "--reasonable", "--emit-proof", str(paths["proof"]))
+        names = {key: str(path) for key, path in paths.items()}
+        code, _, err = run_cli(capsys, *(a.format(huge=huge, **names) for a in argv))
+        assert code == 3
+        document = "--moves" if "--moves" in argv else names["doc"]
+        assert err.startswith(f"error: {document}: the integer 10000000...00000000 has 5001 digits")
+        assert "set_int_max_str_digits" not in err
+
     def test_key_error_is_not_quoted(self, capsys):
         code, _, err = run_cli(capsys, "eval-run", "--formula", "P")
         assert code == 3
         assert err.strip() == "error: general letter P has no interpretation"
+
+
+class TestBudgetOption:
+    def test_only_where_read(self, capsys):
+        code, _, _ = run_cli(capsys, "elementarize", "p \\/ ~p", "--stability", "--budget", "3")
+        assert code == 0
+        with pytest.raises(SystemExit) as exited:
+            main(["translate", "lift", "P", "--budget", "3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
+
 
 class TestElementarize:
     def test_plain(self, capsys):
@@ -198,6 +245,30 @@ class TestPlay:
         assert doc["verdict"] == "machine-wins"
         assert doc["invariants"] == "ok"
         assert [m["move"] for m in doc["run"]] == ["1.1", "2.1"]
+
+    def test_cl4_proof_is_converted(self, capsys, tmp_path, artifacts):
+        _, interp, env = artifacts
+        proof = tmp_path / "cl4.json"
+        code, _, _ = run_cli(capsys, "decide", "P -> P", "--emit-proof", str(proof))
+        assert code == 0 and json.loads(proof.read_text())["system"] == "CL4"
+        code, out, err = run_cli(
+            capsys, "play", "--proof", str(proof), "--interp", str(interp),
+            "--env", str(env), "--check-invariants",
+        )
+        assert code == 0, err
+        assert "verdict: machine-wins" in out and "invariants: ok" in out
+
+    def test_failing_cl4_proof_exit_three(self, capsys, tmp_path, artifacts):
+        _, interp, env = artifacts
+        proof = tmp_path / "cl4.json"
+        run_cli(capsys, "decide", "P -> P", "--emit-proof", str(proof))
+        doc = json.loads(proof.read_text())
+        doc["steps"][0]["formula"] = "a -> b"
+        proof.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "play", "--proof", str(proof), "--interp", str(interp), "--env", str(env)
+        )
+        assert code == 3 and err.startswith("error: ")
 
 
 class TestEvalRun:

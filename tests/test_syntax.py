@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cl4kit.calculus import check_proof
 from cl4kit.decide import decide_blindfree
+import cl4kit.syntax as syntax
 from cl4kit.games import parse_move
 from cl4kit.syntax import (
     MAX_NESTING,
@@ -399,3 +400,31 @@ class TestDehybridization:
         assert general_dehybridization(parse("P#q(z) /\\ ~P#r(z)")) == parse(
             "P(z) /\\ ~P(z)"
         )
+
+
+class TestConjunctive:
+    # each dual pair, its conjunctive member first; the other node classes
+    # are never conjunctive
+    DUALS = [
+        ("p /\\ q", "p \\/ q"),
+        ("p !/\\ q", "p !\\/ q"),
+        ("A x. p(x)", "E x. p(x)"),
+        ("!A x. p(x)", "!E x. p(x)"),
+    ]
+    OTHERS = ["p", "~p", "p -> q"]
+
+    def test_duality_table(self):
+        table = {}
+        for conj, disj in self.DUALS:
+            table[type(parse(conj))] = True
+            table[type(parse(disj))] = False
+        for text in self.OTHERS:
+            table[type(parse(text))] = False
+        node_classes = {
+            obj
+            for name, obj in vars(syntax).items()
+            if isinstance(obj, type) and issubclass(obj, Formula) and not name.startswith("_")
+        } - {Formula}
+        assert set(table) == node_classes and len(table) == 11
+        for cls, conjunctive in table.items():
+            assert cls.conjunctive is conjunctive, cls.__name__
