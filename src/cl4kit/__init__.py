@@ -29,6 +29,7 @@ from .games import (
     Interpretation,
     LabMove,
     ResidualState,
+    advance,
     is_manageable,
     is_top_delay,
     is_unilegal,

@@ -30,6 +30,7 @@ from .syntax import (
     Occurrence,
     Term,
     Var,
+    _read_int,
     addr_str,
     elem_letter,
     free_variables,
@@ -451,7 +452,7 @@ def check_proof(proof: Proof, budget: Budget = Budget()) -> CheckResult:
 def _term_from_str(s: str) -> Term:
     s = s.strip()
     if s.isdigit():
-        return Const(int(s))
+        return Const(_read_int(s, "term"))
     return Var(s)
 
 

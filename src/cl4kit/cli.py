@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 provable / legal / true, 1 unprovable / illegal / false,
-2 unknown (or an aborted play), 3 input or validation error.
+2 unknown (or an aborted play), 3 input, usage or validation error.
 """
 
 from __future__ import annotations
@@ -238,8 +238,16 @@ def _cmd_manageable(args) -> int:
     return EXIT_YES
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_ERROR: argparse's own 2 means "unknown" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cl4kit",
         description="Toolkit for the logic CL4: decide, prove, check, play.",
     )

@@ -1,5 +1,5 @@
 """Runs and formula-shaped finite constant games: projections, top-delay,
-manageability, legality and winner, and residual states.
+manageability, and the positions a run reaches.
 
 A labmove is a player tag ("T" for the machine, "B" for the environment)
 plus a move string.  Move strings are read against a formula by walking
@@ -11,19 +11,19 @@ Games are finite: choice quantifiers range over the interpretation's
 universe {0..U-1}, and blind quantifiers evaluate as conjunction or
 disjunction over it.
 
-Legality and winner come from one descent over the formula, which states
-each operator's rule once: a parallel connective splits the run among its
-children, a negation hands its body the negated run, a blind quantifier
-plays its body at every constant, a general or hybrid atom plays its
-defining game, and a choice's first move picks the component the rest of
-the run is played in.  `residual` replays the run once, move by move.
+A run is read in one place, `advance`, which plays one move on a position
+(a `ResidualState`): a choice move rewrites its choice into the component
+it picks, and a move inside a general or hybrid atom is stored there and
+must keep the stored run legal in that atom's game.  `residual`,
+`is_unilegal`, `winner` and `legal_moves` fold `advance` over the run from
+the game's formula, then read the position reached: the winner off its
+surface, the legal moves off its unmade choices and its atoms' games.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -32,10 +32,10 @@ from .syntax import (
     Atom,
     PARALLEL,
     QUASIATOM,
-    TRANSPARENT,
     Const,
     Formula,
     Occurrence,
+    _read_int,
     addr_str,
     apply_valuation,
     atoms,
@@ -177,7 +177,7 @@ class Interpretation:
                 if not m:
                     raise ValueError(f"bad elementary atom key {key!r}")
                 name, argstr = m.group(1), m.group(2)
-                args = tuple(int(s) for s in argstr.split(",")) if argstr else ()
+                args = tuple(_read_int(s, "atom key") for s in argstr.split(",")) if argstr else ()
                 elementary[(name, args)] = bool(value)
             general = {
                 name: GeneralDef(tuple(entry["params"]), parse(entry["body"]))
@@ -201,17 +201,7 @@ def read_json(path: str, text: str | None = None):
     if text is None:
         with open(path) as fh:
             text = fh.read()
-
-    def integer(digits: str) -> int:
-        try:
-            return int(digits)
-        except ValueError:
-            raise ValueError(
-                f"{path}: the integer {digits[:8]}...{digits[-8:]} has {len(digits)} "
-                f"digits, more than the {sys.get_int_max_str_digits()} that can be read"
-            ) from None
-
-    return json.loads(text, parse_int=integer)
+    return json.loads(text, parse_int=lambda digits: _read_int(digits, path))
 
 
 def load_interpretation(path: str) -> Interpretation:
@@ -240,9 +230,6 @@ def load_run(path: str) -> Run:
 # ---------------------------------------------------------------------------
 
 
-_INDEX_RE = re.compile(r"(\d+)\.")
-
-
 def parse_move(f: Formula, move: str) -> tuple[Occurrence, str] | None:
     """Resolve a move string against f: walk parallel structure by its
     leading `i.` tokens, stop at the first quasiatom, return it plus the
@@ -261,15 +248,6 @@ def choice_mover(qa: Formula, polarity: int) -> str:
     return BOT_PLAYER if qa.conjunctive == (polarity > 0) else TOP_PLAYER
 
 
-def _natural(digits: str) -> int | None:
-    """The number a move's digit string spells; None when it has more digits
-    than int() reads (sys.get_int_max_str_digits), so the move is illegal."""
-    try:
-        return int(digits)
-    except ValueError:
-        return None
-
-
 def _instance(q: Formula, c: int) -> Formula:
     """A quantifier's body at the constant c."""
     return substitute(q.body, q.var, Const(c))
@@ -281,8 +259,9 @@ def _choice_component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
     player or a bad payload."""
     if m.player != choice_mover(qa, 1) or not re.fullmatch(r"\d+", m.move):
         return None
-    n = _natural(m.move)
-    if n is None:
+    try:
+        n = int(m.move)
+    except ValueError:  # more digits than int() reads
         return None
     if qa.bound_var is not None:
         return _instance(qa, n) if n < universe else None
@@ -290,87 +269,147 @@ def _choice_component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
 
 
 # ---------------------------------------------------------------------------
-# Legality and winner
+# Positions: the one reader of runs
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ResidualState:
+    """A position: what remains of a game after a unilegal run, the formula
+    with its resolved choices rewritten plus the moves stored inside
+    general/hybrid quasiatoms, by address, as the run labels them."""
+
+    formula: Formula
+    stored: tuple[tuple[Address, Run], ...] = ()
+
+    def stored_dict(self) -> dict[Address, Run]:
+        return dict(self.stored)
+
+
 def _expansion(atom: Atom, interp: Interpretation) -> Formula:
-    """The game a closed general or hybrid atom stands for."""
+    """The game a general or hybrid atom stands for, the variables bound by
+    blind quantifiers read as 0 (legality does not depend on them)."""
     lt = atom.letter
     name = lt.general if lt.kind == "hybrid" else lt.name
-    return interp.expand_general(name, tuple(t.value for t in atom.args))
+    args = tuple(t.value if isinstance(t, Const) else 0 for t in atom.args)
+    return interp.expand_general(name, args)
 
 
-def _route(node: Formula, run: Run) -> list[Run] | None:
-    """Split a run among the children of a parallel node by each move's
-    leading `i.` token, or hand all of it to the body of a transparent one.
-    Every subrun comes back in its child's view: negated where the child's
-    sign is -1.  None when some move does not route."""
-    if node.surface is TRANSPARENT:
-        groups = [run]
-    else:
-        width = len(node.children)
-        groups = [[] for _ in range(width)]
-        for m in run:
-            im = _INDEX_RE.match(m.move)
-            if not im:
-                return None
-            i = _natural(im.group(1))
-            if i is None or not 1 <= i <= width:
-                return None
-            groups[i - 1].append(LabMove(m.player, m.move[im.end():]))
-    return [negate_run(g) if s < 0 else tuple(g) for g, s in zip(groups, node.signs)]
+def _own_view(run: Run, polarity: int) -> Run:
+    """A quasiatom's stored run as its own game reads it."""
+    return negate_run(run) if polarity < 0 else run
 
 
-def _play(f: Formula, run: Run, interp: Interpretation) -> bool | None:
-    """Whether the machine wins the run in the closed game f, or None when
-    the run is not legal there."""
-    if isinstance(f, Atom):
-        if f.letter.kind != "elementary":
-            return _play(_expansion(f, interp), run, interp)
-        if run:
+def advance(state: ResidualState, interp: Interpretation, move: LabMove) -> ResidualState | None:
+    """The position after one more move, or None when the move is illegal
+    there.  A choice move rewrites its quasiatom into the component it
+    picks; a move inside a general or hybrid quasiatom is stored there and
+    must keep the stored run legal in that atom's game."""
+    parsed = parse_move(state.formula, move.move)
+    if parsed is None:
+        return None
+    occ, payload = parsed
+    qa = occ.quasiatom
+    if isinstance(qa, Atom):
+        if qa.letter.kind == "elementary":
             return None
-        if f.letter.logical:
-            return f.letter.name == "T"
-        return interp.atom_value(f.letter.name, tuple(t.value for t in f.args))
-    if f.surface is QUASIATOM:
-        # a choice: its first move picks the component the rest of the run
-        # is played in; a choice never made is lost by the player who owed it
-        if not run:
-            return choice_mover(f, 1) == BOT_PLAYER
-        component = _choice_component(f, run[0], interp.universe)
-        if component is None:
+        stored = dict(state.stored)
+        run = stored.get(occ.address, ()) + (LabMove(move.player, payload),)
+        # a defining formula has elementary letters only: one level deep
+        if _fold(_expansion(qa, interp), interp, _own_view(run, occ.polarity))[1]:
             return None
-        return _play(component, run[1:], interp)
-    if f.bound_var is not None:  # blind: the body is played at every constant
-        games = [(_instance(f, c), run, 1) for c in range(interp.universe)]
-    else:
-        subruns = _route(f, run)
-        if subruns is None:
-            return None
-        games = zip(f.children, subruns, f.signs)
-    values = []
-    for game, sub, sign in games:
-        won = _play(game, sub, interp)
-        if won is None:
-            return None
-        values.append(won if sign > 0 else not won)
-    # conjunctions need every game won; the rest need one
-    return all(values) if f.conjunctive else any(values)
+        stored[occ.address] = run
+        return ResidualState(state.formula, tuple(sorted(stored.items())))
+    player = move.player if occ.polarity > 0 else flip(move.player)
+    component = _choice_component(qa, LabMove(player, payload), interp.universe)
+    if component is None:
+        return None
+    return ResidualState(replace_at(state.formula, occ.address, component), state.stored)
+
+
+def _fold(f: Formula, interp: Interpretation, run: Run) -> tuple[ResidualState, Run]:
+    """Advance the game f, its free variables read as 0, through the run:
+    the position after the run's longest legal prefix, and the moves left
+    over (the first of them illegal)."""
+    state = ResidualState(apply_valuation(f, {}))
+    for i, m in enumerate(run):
+        after = advance(state, interp, m)
+        if after is None:
+            return state, run[i:]
+        state = after
+    return state, ()
+
+
+def residual(f: Formula, interp: Interpretation, run: Run) -> ResidualState:
+    """The position the run reaches in the game f.  Raises ValueError naming
+    the first illegal move when the run is not unilegal."""
+    state, rest = _fold(f, interp, run)
+    if rest:
+        raise ValueError(f"move {len(run) - len(rest) + 1} of the run, {rest[0]}, is illegal")
+    return state
 
 
 def is_unilegal(f: Formula, interp: Interpretation, run: Run) -> bool:
     """Legality of the run in the game f denotes (an unresolvable move
     makes the run illegal rather than raising).  Free variables read as 0."""
-    return _play(apply_valuation(f, {}), run, interp) is not None
+    return not _fold(f, interp, run)[1]
+
+
+def _wins(state: ResidualState, interp: Interpretation) -> bool:
+    """Whether the machine wins a final position, read off its surface."""
+    stored = state.stored_dict()
+
+    def wins(node: Formula, addr: Address, pol: int) -> bool:
+        if isinstance(node, Atom):
+            if node.letter.kind != "elementary":
+                run = _own_view(stored.get(addr, ()), pol)
+                return _wins(_fold(_expansion(node, interp), interp, run)[0], interp)
+            if node.letter.logical:
+                return node.letter.name == "T"
+            return interp.atom_value(node.letter.name, tuple(t.value for t in node.args))
+        if node.surface is QUASIATOM:  # a choice never made is lost by its mover
+            return choice_mover(node, 1) == BOT_PLAYER
+        if node.bound_var is not None:  # blind: the body is played at every constant
+            parts = [(_instance(node, c), addr, 1) for c in range(interp.universe)]
+        else:
+            parts = [
+                (child, addr + (i,) if node.surface is PARALLEL else addr, sign)
+                for i, (child, sign) in enumerate(zip(node.children, node.signs), start=1)
+            ]
+        # a part of sign -1 counts when the machine loses it
+        values = ((sign > 0) == wins(part, a, pol * sign) for part, a, sign in parts)
+        # conjunctions need every part; the rest need one
+        return all(values) if node.conjunctive else any(values)
+
+    return wins(state.formula, (), 1)
 
 
 def winner(f: Formula, interp: Interpretation, run: Run) -> str:
-    """Who wins the (unilegal) run: "T" or "B"."""
-    won = _play(apply_valuation(f, {}), run, interp)
-    if won is None:
-        raise ValueError("winner is defined for unilegal runs only")
-    return TOP_PLAYER if won else BOT_PLAYER
+    """Who wins the run: "T" or "B".  Raises ValueError when the run is not
+    unilegal."""
+    return TOP_PLAYER if _wins(residual(f, interp, run), interp) else BOT_PLAYER
+
+
+def legal_moves(f: Formula, interp: Interpretation, run: Run, player: str) -> list[str]:
+    """All single moves the player may legally add after `run`: the choices
+    the player owes on the reached position's surface, and the legal moves
+    inside each general or hybrid quasiatom's game.  Raises ValueError when
+    the run is not unilegal."""
+    state = residual(f, interp, run)
+    stored = state.stored_dict()
+    out = []
+    for occ in surface_occurrences(state.formula):
+        qa, prefix = occ.quasiatom, addr_str(occ.address)
+        who = player if occ.polarity > 0 else flip(player)
+        if isinstance(qa, Atom):
+            if qa.letter.kind != "elementary":
+                sub = _own_view(stored.get(occ.address, ()), occ.polarity)
+                moves = legal_moves(_expansion(qa, interp), interp, sub, who)
+                out.extend(prefix + m for m in moves)
+        elif choice_mover(qa, 1) == who:
+            picks = range(interp.universe) if qa.bound_var else range(1, len(qa.children) + 1)
+            out.extend(prefix + str(n) for n in picks)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,95 +502,3 @@ def is_manageable(e: Formula, run: Run) -> Manageability:
                     False, 3, addr_str(occ.address), "machine moved in a general quasiatom"
                 )
     return Manageability(True)
-
-
-# ---------------------------------------------------------------------------
-# Residual states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidualState:
-    """What remains of a game after a unilegal run: the rewritten formula
-    plus the moves accumulated inside general/hybrid quasiatoms."""
-
-    formula: Formula
-    stored: tuple[tuple[Address, Run], ...] = ()
-
-    def stored_dict(self) -> dict[Address, Run]:
-        return dict(self.stored)
-
-
-def residual(f: Formula, interp: Interpretation, run: Run) -> ResidualState:
-    """What remains of the game f after the run.  The run is replayed once,
-    move by move: a choice move rewrites its quasiatom into the component it
-    picks, and a move inside a general or hybrid quasiatom is stored there.
-    Each stored subrun is then checked in its quasiatom's own game.  Raises
-    ValueError when the run is not unilegal."""
-    stored: dict[Address, tuple[Occurrence, list[LabMove]]] = {}
-    current = apply_valuation(f, {})
-    for m in run:
-        parsed = parse_move(current, m.move)
-        if parsed is None:
-            raise ValueError(f"move {m.move!r} does not resolve")
-        occ, payload = parsed
-        qa = occ.quasiatom
-        if isinstance(qa, Atom):
-            if qa.letter.kind == "elementary":
-                raise ValueError(f"move {m.move!r} lands in an elementary atom")
-            stored.setdefault(occ.address, (occ, []))[1].append(LabMove(m.player, payload))
-            continue
-        player = m.player if occ.polarity > 0 else flip(m.player)
-        component = _choice_component(qa, LabMove(player, payload), interp.universe)
-        if component is None:
-            raise ValueError(f"move {m} is illegal at a choice")
-        current = replace_at(current, occ.address, component)
-    for occ, moves in stored.values():
-        # read in the atom's own view, its blind-bound arguments at 0 as the
-        # descent instantiates them
-        sub = negate_run(moves) if occ.polarity < 0 else tuple(moves)
-        if _play(apply_valuation(occ.quasiatom, {}), sub, interp) is None:
-            raise ValueError(f"the moves at {pretty(occ.quasiatom)} are illegal there")
-    return ResidualState(
-        current, tuple(sorted((a, tuple(ms)) for a, (_, ms) in stored.items()))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Move enumeration (for scripted play and exhaustive tests)
-# ---------------------------------------------------------------------------
-
-
-def legal_moves(f: Formula, interp: Interpretation, run: Run, player: str) -> list[str]:
-    """All single moves the player may legally add after `run`.  Raises
-    ValueError when the run is not unilegal."""
-
-    def collect(node: Formula, sub: Run, who: str) -> list[str]:
-        if isinstance(node, Atom):
-            if node.letter.kind != "elementary":
-                return collect(_expansion(node, interp), sub, who)
-            if sub:
-                raise ValueError("a move lands in an elementary atom")
-            return []
-        if node.surface is QUASIATOM:
-            if sub:
-                component = _choice_component(node, sub[0], interp.universe)
-                if component is None:
-                    raise ValueError(f"move {sub[0]} is illegal at a choice")
-                return collect(component, sub[1:], who)
-            if choice_mover(node, 1) != who:
-                return []
-            picks = range(interp.universe) if node.bound_var else range(1, len(node.children) + 1)
-            return list(map(str, picks))
-        if node.bound_var is not None:  # blind: every constant gives the same moves
-            return collect(_instance(node, 0), sub, who)
-        subruns = _route(node, sub)
-        if subruns is None:
-            raise ValueError("a move does not route")
-        out = []
-        for i, (child, r, sign) in enumerate(zip(node.children, subruns, node.signs), start=1):
-            tag = f"{i}." if node.surface is PARALLEL else ""
-            out.extend(tag + m for m in collect(child, r, who if sign > 0 else flip(who)))
-        return out
-
-    return collect(apply_valuation(f, {}), run, player)

@@ -21,12 +21,13 @@ from .games import (
     BOT_PLAYER,
     Interpretation,
     LabMove,
+    ResidualState,
     Run,
     TOP_PLAYER,
+    advance,
     choice_mover,
     hybrid_pairs,
     is_manageable,
-    is_unilegal,
     legal_moves,
     parse_move,
     project,
@@ -161,7 +162,14 @@ def extract_and_play(
     theta: list[LabMove] = []
     events: list[PlayEvent] = []
     script = list(env_moves)
-    root_game = conclusion  # closed, so the valuation record starts empty
+    # the root game's position after theta; None after an illegal machine move
+    position: ResidualState | None = ResidualState(conclusion)
+
+    def play(*moves: LabMove) -> None:
+        nonlocal position
+        for m in moves:
+            theta.append(m)
+            position = position and advance(position, interp, m)
 
     def snapshot() -> MachineState:
         # the valuation record mirrors exactly the free variables in play
@@ -182,12 +190,11 @@ def extract_and_play(
         state = snapshot()
         theta_before = tuple(theta)
         tag = current.rule.tag
-        K = state.ground()
 
         if tag == "B1":
             addr, i = current.rule.addr, current.rule.index
             move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{i}")
-            theta.append(move)
+            play(move)
             premise = proof.step(current.premises[0])
             _restrict(valuation, premise.formula)
             current = premise
@@ -198,7 +205,7 @@ def extract_and_play(
             addr, t = current.rule.addr, current.rule.term
             c = t.value if isinstance(t, Const) else valuation.get(t.name, 0)
             move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{c}")
-            theta.append(move)
+            play(move)
             premise = proof.step(current.premises[0])
             if isinstance(t, Var) and t.name in free_variables(premise.formula):
                 valuation[t.name] = c
@@ -218,7 +225,7 @@ def extract_and_play(
             ] + [
                 LabMove(TOP_PLAYER, f"{addr_str(nu)}{payload}") for payload in pi_payloads
             ]
-            theta.extend(new_moves)
+            play(*new_moves)
             omega.extend(new_moves)
             current = premise
             record("main", "Co", state, theta_before, new_moves)
@@ -235,15 +242,18 @@ def extract_and_play(
             record("inner", "pass", state, theta_before, [])
             break
         env_move = LabMove(BOT_PLAYER, entry)
-        if not is_unilegal(root_game, interp, tuple(theta) + (env_move,)):
+        after = position and advance(position, interp, env_move)
+        if after is None:
             theta.append(env_move)
             record("inner", "env-illegal", state, theta_before, [env_move])
             return finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} is illegal")
-        parsed = parse_move(K, entry)
+        # the proof's formula has the surface of its grounded form
+        parsed = parse_move(current.formula, entry)
         if parsed is None:
             theta.append(env_move)
             record("inner", "env-illegal", state, theta_before, [env_move])
             return finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} does not resolve")
+        position = after
         occ, payload = parsed
         qa = occ.quasiatom
 
@@ -258,7 +268,7 @@ def extract_and_play(
             sigma = neg.address if occ.address == pos.address else pos.address
             reply = LabMove(TOP_PLAYER, f"{addr_str(sigma)}{payload}")
             theta.append(env_move)
-            theta.append(reply)
+            play(reply)
             omega.append(env_move)
             omega.append(reply)
             record("inner", "env-hybrid", state, theta_before, [env_move, reply])
@@ -268,8 +278,7 @@ def extract_and_play(
             if env_move.player != choice_mover(qa, occ.polarity):
                 theta.append(env_move)
                 return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
-            # the required premises for this occurrence, read off the proof's
-            # formula (K has the valuation applied)
+            # the required premises for this occurrence, read off the proof's formula
             required = [
                 r for r in rule_a_premises(current.formula) if r.occurrence.address == occ.address
             ]
@@ -295,8 +304,7 @@ def extract_and_play(
         return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} fits no subcase")
 
     record("main", "final", snapshot(), tuple(theta), [])
-    final = tuple(theta)
-    won = winner(root_game, interp, final) == TOP_PLAYER
+    won = winner(conclusion, interp, tuple(theta)) == TOP_PLAYER
     return finish(MACHINE_WINS if won else MACHINE_LOSES)
 
 
@@ -320,8 +328,11 @@ def assert_claim1(
 ) -> Claim1Result:
     """Per iteration: the quasiatom-play position is manageable for the
     current (grounded) hyperformula, and the residual of the original game
-    under theta matches the residual of the current game under omega."""
+    under theta matches the residual of the current game under omega.  The
+    former is carried along while each theta extends the one before."""
     root = proof.conclusion
+    start = residual(root, interp, ())
+    left, seen = start, ()
 
     for idx, event in enumerate(transcript.events):
         K = event.state.ground()
@@ -331,7 +342,13 @@ def assert_claim1(
             return Claim1Result(
                 False, idx, f"manageability clause {manageable.clause} at {manageable.address}"
             )
-        left = residual(root, interp, event.theta_before)
+        theta = event.theta_before
+        if theta[: len(seen)] != seen:
+            left, seen = start, ()
+        for m in theta[len(seen):]:
+            # None: m is illegal, and residual raises the error naming it
+            left = advance(left, interp, m) or residual(root, interp, theta)
+        seen = theta
         right = residual(K, interp, omega)
         if general_dehybridization(left.formula) != general_dehybridization(right.formula):
             return Claim1Result(

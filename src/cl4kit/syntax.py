@@ -21,6 +21,7 @@ never letters.  Terms are variables or natural-number constants.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Union
@@ -282,13 +283,29 @@ def addr_str(addr: Address) -> str:
     return "".join(f"{i}." for i in addr)
 
 
+def _read_int(text: str, source: str) -> int:
+    """int(text).  An integer with more digits than int() reads
+    (sys.get_int_max_str_digits) raises ValueError naming the source and
+    the number."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if len(digits) <= sys.get_int_max_str_digits():
+            raise
+        raise ValueError(
+            f"{source}: the integer {digits[:8]}...{digits[-8:]} has {len(digits)} "
+            f"digits, more than the {sys.get_int_max_str_digits()} that can be read"
+        ) from None
+
+
 def parse_addr(s: str) -> Address:
     s = s.strip()
     if not s:
         return ()
     if not re.fullmatch(r"(\d+\.)+", s):
         raise ValueError(f"bad address {s!r}")
-    return tuple(int(tok) for tok in s.split(".")[:-1])
+    return tuple(_read_int(tok, "address") for tok in s.split(".")[:-1])
 
 
 @dataclass(frozen=True)
@@ -798,7 +815,7 @@ def _tokenize(text: str) -> list[_Token]:
             emit("~", "~", 1)
         elif ch in "(),.#":
             emit(ch, ch, 1)
-        elif ch.isdigit():
+        elif ch.isdecimal():
             m = re.match(r"\d+", text[i:])
             emit("NUMBER", m.group(), len(m.group()))
         elif ch.isalpha():
@@ -994,8 +1011,12 @@ class _Parser:
     def term(self) -> Term:
         tok = self.peek()
         if tok.kind == "NUMBER":
+            try:
+                value = _read_int(tok.text, "constant")
+            except ValueError as ex:
+                raise self.error(str(ex)) from None
             self.next()
-            return Const(int(tok.text))
+            return Const(value)
         if tok.kind == "IDENT" and is_variable_name(tok.text):
             self.next()
             return Var(tok.text)

@@ -18,6 +18,7 @@ from .syntax import (
     ChoOr,
     Formula,
     Term,
+    _read_int,
     elem_letter,
     gen_letter,
     is_choice,
@@ -72,8 +73,8 @@ class MoleculeSignature:
             for p, entry in doc["letters"].items():
                 arities[p] = entry["arity"]
                 for key, name in entry["names"].items():
-                    a, b = key.split(",")
-                    names[(p, int(a), int(b))] = name
+                    a, b = (_read_int(n, "signature key") for n in key.split(","))
+                    names[(p, a, b)] = name
             m = doc["m"]
         except KeyError as ex:
             raise ValueError(f"malformed molecule signature: missing {ex}") from None

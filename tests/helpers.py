@@ -7,6 +7,7 @@ from the seed printed by the test.
 from __future__ import annotations
 
 import random
+import re
 
 from cl4kit.games import (
     BOT_PLAYER,
@@ -15,9 +16,13 @@ from cl4kit.games import (
     LabMove,
     Run,
     TOP_PLAYER,
+    choice_mover,
     legal_moves,
+    negate_run,
 )
 from cl4kit.syntax import (
+    QUASIATOM,
+    TRANSPARENT,
     Atom,
     BlindAll,
     BlindEx,
@@ -35,6 +40,7 @@ from cl4kit.syntax import (
     elem_letter,
     gen_letter,
     hybrid_letter,
+    substitute,
 )
 
 ELEM_NAMES = ["p", "q", "r", "s"]
@@ -238,3 +244,88 @@ def rearrangements(run: Run) -> list[Run]:
     tops = [m for m in run if m.player == TOP_PLAYER]
     bots = [m for m in run if m.player == BOT_PLAYER]
     return interleavings(tops, bots)
+
+
+# ---------------------------------------------------------------------------
+# A reference evaluator of runs, independent of games.advance
+# ---------------------------------------------------------------------------
+
+_INDEX_RE = re.compile(r"(\d+)\.")
+
+
+def _number(digits: str) -> int | None:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        return None
+
+
+def _component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
+    """The component of a choice that m, read in the choice's positive view,
+    selects; None when m is illegal there."""
+    n = _number(m.move) if re.fullmatch(r"\d+", m.move) else None
+    if m.player != choice_mover(qa, 1) or n is None:
+        return None
+    if qa.bound_var is not None:
+        return substitute(qa.body, qa.bound_var, Const(n)) if n < universe else None
+    return qa.children[n - 1] if 1 <= n <= len(qa.children) else None
+
+
+def _route(node: Formula, run: Run) -> list[Run] | None:
+    """Split a run among the children of a parallel node by each move's
+    leading `i.` token, or hand all of it to the body of a transparent one.
+    Every subrun comes back in its child's view.  None when a move does not
+    route."""
+    if node.surface is TRANSPARENT:
+        groups = [run]
+    else:
+        groups = [[] for _ in node.children]
+        for m in run:
+            im = _INDEX_RE.match(m.move)
+            i = _number(im.group(1)) if im else None
+            if i is None or not 1 <= i <= len(groups):
+                return None
+            groups[i - 1].append(LabMove(m.player, m.move[im.end():]))
+    return [negate_run(g) if s < 0 else tuple(g) for g, s in zip(groups, node.signs)]
+
+
+def reference_play(f: Formula, run: Run, interp: Interpretation) -> bool | None:
+    """Whether the machine wins the run in the closed game f, or None when
+    the run is illegal there.  One descent that routes the whole run down
+    the formula's structure: a parallel connective splits it among its
+    children, a negation hands its body the negated run, a blind quantifier
+    plays its body at every constant, a general or hybrid atom plays its
+    defining game, and a choice's first move picks the component the rest
+    of the run is played in."""
+    if isinstance(f, Atom):
+        lt = f.letter
+        if lt.kind != "elementary":
+            name = lt.general if lt.kind == "hybrid" else lt.name
+            game = interp.expand_general(name, tuple(t.value for t in f.args))
+            return reference_play(game, run, interp)
+        if run:
+            return None
+        if lt.logical:
+            return lt.name == "T"
+        return interp.atom_value(lt.name, tuple(t.value for t in f.args))
+    if f.surface is QUASIATOM:  # a choice never made is lost by its mover
+        if not run:
+            return choice_mover(f, 1) == BOT_PLAYER
+        component = _component(f, run[0], interp.universe)
+        return None if component is None else reference_play(component, run[1:], interp)
+    if f.bound_var is not None:
+        games = [
+            (substitute(f.body, f.bound_var, Const(c)), run, 1) for c in range(interp.universe)
+        ]
+    else:
+        subruns = _route(f, run)
+        if subruns is None:
+            return None
+        games = zip(f.children, subruns, f.signs)
+    values = []
+    for game, sub, sign in games:
+        won = reference_play(game, sub, interp)
+        if won is None:
+            return None
+        values.append(won if sign > 0 else not won)
+    return all(values) if f.conjunctive else any(values)

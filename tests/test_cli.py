@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from cl4kit.calculus import make_reasonable, proof_to_json, to_cl4o
 from cl4kit.cli import main
 from cl4kit.decide import decide_blindfree
-from cl4kit.syntax import parse
+from cl4kit.syntax import parse, pretty
+from cl4kit.translate import lift, signature_for
 
 
 def run_cli(capsys, *argv):
@@ -158,13 +159,87 @@ class TestMalformedInput:
         assert err.strip() == "error: general letter P has no interpretation"
 
 
+def _proof_with_param(key: str, value: str) -> str:
+    """A CL4 proof document whose B2 step has params[key] = value."""
+    doc = proof_to_json(decide_blindfree(parse("!A x. !E y. (Q(x) -> Q(y))")).proof)
+    next(s for s in doc["steps"] if s["rule"] == "B2")["params"][key] = value
+    return json.dumps(doc)
+
+
+class TestOverlongIntegerInString:
+    """An integer past int()'s digit limit written inside a string exits 3
+    with a message naming the number, not Python's advice; {huge} stands
+    for the integer and {doc} for the document's path."""
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (["decide", "p({huge})"], None),
+            (
+                ["eval-run", "--formula", "p", "--interp", "{doc}"],
+                '{"universe": 2, "elementary": {"l1({huge})": true}}',
+            ),
+            (
+                ["eval-run", "--formula", "P", "--interp", "{doc}"],
+                '{"universe": 2, "general": {"P": {"params": [], "body": "q({huge})"}}}',
+            ),
+            (
+                ["translate", "floor", "P", "--signature", "{doc}"],
+                '{"m": 2, "letters": {"P": {"arity": 0, "names": {"1,{huge}": "a"}}}}',
+            ),
+            (["check", "--proof", "{doc}"], _proof_with_param("term", "{huge}")),
+            (["check", "--proof", "{doc}"], _proof_with_param("addr", "{huge}.")),
+        ],
+        ids=["formula", "interp-key", "interp-body", "signature-key", "proof-term", "proof-addr"],
+    )
+    def test_exit_three(self, capsys, tmp_path, argv, document):
+        huge = "1" + "0" * 5000
+        path = tmp_path / "doc.json"
+        if document is not None:
+            path.write_text(document.replace("{huge}", huge))
+        argv = [a.replace("{huge}", huge).replace("{doc}", str(path)) for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "the integer 10000000...00000000 has 5001 digits" in err
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+    def test_superscript_digit_is_a_syntax_error(self, capsys):
+        code, _, err = run_cli(capsys, "decide", "p(\u00b2)")
+        assert code == 3 and err.startswith("syntax error: unexpected character")
+
+
+class TestUsageErrors:
+    """Usage errors exit 3, as every input error does; 2 means unknown."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["decide"],
+            ["eval-run", "--formula", "p", "--universe", "12x"],
+        ],
+        ids=["no-command", "no-formula", "bad-universe"],
+    )
+    def test_exit_three(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["decide", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+
+
 class TestBudgetOption:
     def test_only_where_read(self, capsys):
         code, _, _ = run_cli(capsys, "elementarize", "p \\/ ~p", "--stability", "--budget", "3")
         assert code == 0
         with pytest.raises(SystemExit) as exited:
             main(["translate", "lift", "P", "--budget", "3"])
-        assert exited.value.code == 2
+        assert exited.value.code == 3
         assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
 
@@ -394,6 +469,7 @@ def _exit_cleanly(*argv, codes=(0, 1, 3)):
         code = main(list(argv))
     assert code in codes, (argv[:3], code, err.getvalue()[:300])
     assert "Traceback" not in err.getvalue()
+    assert "set_int_max_str_digits" not in err.getvalue()
 
 
 class TestGameCommandsFuzz:
@@ -512,3 +588,91 @@ class TestJsonRoundTrips:
         assert code == 0
         proof = proof_from_json(json.loads(out))
         assert check_proof(proof).ok
+
+
+# The remaining loaders: molecule signatures for translate floor, and the
+# interpretation and environment script of play, with integers of every
+# shape (over-long ones included) written inside keys, formulas and moves.
+_NUMBER_TOKENS = ["0", "1", "2", "-1", " 1", "", "x", "1_0", "\u0661", "\u00b2", _HUGE, "9" * 5000]
+_NUMBER_LISTS = st.lists(st.sampled_from(_NUMBER_TOKENS), min_size=1, max_size=3).map(",".join)
+_QUANTIFIED = parse("!A x. (P(x) -> P(x))")
+_SIGNATURE = signature_for(_QUANTIFIED).to_json()
+_FLOOR_FORMULAS = [
+    pretty(lift(_QUANTIFIED, signature_for(_QUANTIFIED))),
+    "P(1) -> P(1)",
+    f"p_1_1({_HUGE}) !\\/ p_1_2(0)",
+    f"!A x. p_2_1(x) -> P({_HUGE})",
+]
+
+
+@st.composite
+def _signatures(draw):
+    doc = copy.deepcopy(_SIGNATURE)
+    letter = doc["letters"]["P"]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["key", "key", "name", "arity", "m", "letters"]))
+        if edit == "key":
+            key = draw(st.sampled_from(sorted(letter["names"])))
+            letter["names"][draw(_NUMBER_LISTS)] = letter["names"].pop(key)
+        elif edit == "name":
+            key = draw(st.sampled_from(sorted(letter["names"])))
+            letter["names"][key] = draw(st.one_of(st.sampled_from(["p", "P", "x"]), _WRONG_TYPES))
+        elif edit == "arity":
+            letter["arity"] = draw(_WRONG_TYPES)
+        else:
+            doc[edit] = draw(_WRONG_TYPES)
+    return json.dumps(doc).replace('"<huge>"', _HUGE)
+
+
+_PLAY_PROOF = proof_to_json(
+    make_reasonable(to_cl4o(decide_blindfree(parse("!A x. !E y. (P(x) -> P(y))")).proof))
+)
+_ATOM_KEYS = st.one_of(
+    st.sampled_from(["l1", "e1", "l1()", "L1(0)", "l1(0"]), _NUMBER_LISTS.map("l1({})".format)
+)
+_BODIES = st.sampled_from(
+    ["l1(x) !\\/ l2(x)", f"l1({_HUGE}) !\\/ l2(x)", f"l1(x) !/\\ l2({_HUGE})", "l1(y)", "(("]
+)
+
+
+@st.composite
+def _interpretations(draw):
+    doc = {
+        "universe": draw(st.one_of(st.integers(1, 3), _WRONG_TYPES)),
+        "elementary": draw(st.dictionaries(_ATOM_KEYS, st.booleans(), max_size=3)),
+        "general": {
+            "P": {
+                "params": draw(st.sampled_from([["x"], [], ["x", "y"], ["x", "x"], "x"])),
+                "body": draw(_BODIES),
+            }
+        },
+    }
+    return json.dumps(doc).replace('"<huge>"', _HUGE)
+
+
+_ENV_MOVES = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", "3", _HUGE]), min_size=1, max_size=3).map(".".join),
+    st.sampled_from(["pass", "", "1.", f"{_HUGE}.1"]),
+)
+_ENVIRONMENTS = st.one_of(st.lists(_ENV_MOVES, max_size=4), _WRONG_TYPES).map(json.dumps)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_signatures(), st.sampled_from(_FLOOR_FORMULAS))
+    def test_translate_floor(self, fuzz_dir, document, formula):
+        path = fuzz_dir / "signature.json"
+        path.write_text(document)
+        _exit_cleanly("translate", "floor", formula, "--signature", str(path))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_interpretations(), _ENVIRONMENTS)
+    def test_play(self, fuzz_dir, interp, env):
+        paths = {name: fuzz_dir / f"play-{name}.json" for name in ("proof", "interp", "env")}
+        paths["proof"].write_text(json.dumps(_PLAY_PROOF))
+        paths["interp"].write_text(interp)
+        paths["env"].write_text(env)
+        _exit_cleanly(
+            "play", *(f"--{name}={path}" for name, path in paths.items()),
+            "--check-invariants", codes=(0, 1, 2, 3),
+        )

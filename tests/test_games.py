@@ -9,6 +9,7 @@ from cl4kit.games import (
     LabMove,
     ResidualState,
     TOP_PLAYER,
+    advance,
     choice_mover,
     flip,
     hybrid_pairs,
@@ -36,6 +37,7 @@ from cl4kit.syntax import (
     ParOr,
     Var,
     addr_str,
+    apply_valuation,
     elem_letter,
     gen_letter,
     hybrid_letter,
@@ -50,6 +52,7 @@ from helpers import (
     random_game_formula,
     random_legal_run,
     rearrangements,
+    reference_play,
 )
 
 LEMMA_RUN = run_of(("B", "1.a"), ("B", "2.b"), ("B", "3.1.d"), ("T", "2.d"), ("T", "3.1.b"))
@@ -733,20 +736,29 @@ def _garble(rng, run):
     return tuple(run)
 
 
+def _garbled(rng):
+    """A game and a run drawn for it, garbled seven times in ten."""
+    f, interp = _draw(rng)
+    run = random_legal_run(rng, f, interp, 5)
+    return f, interp, _garble(rng, run) if rng.random() < 0.7 else run
+
+
 class TestGarbledRuns:
     """Legal runs garbled into mostly illegal ones, over games that include
-    general atoms under blind quantifiers: every evaluator agrees on which
-    runs are legal, and legal_moves lists exactly the legal extensions."""
+    general atoms under blind quantifiers: every evaluator agrees with the
+    routing reference evaluator on which runs are legal and who wins them,
+    and legal_moves lists exactly the legal extensions."""
 
     def test_evaluators_agree_on_legality(self):
         rng = random.Random(82)
         illegal = 0
         for _ in range(N_CASES * 3):
-            f, interp = _draw(rng)
-            run = random_legal_run(rng, f, interp, 5)
-            if rng.random() < 0.7:
-                run = _garble(rng, run)
+            f, interp, run = _garbled(rng)
             legal = is_unilegal(f, interp, run)
+            expected = reference_play(apply_valuation(f, {}), run, interp)
+            assert legal == (expected is not None), (pretty(f), run)
+            if legal:
+                assert winner(f, interp, run) == ("T" if expected else "B"), (pretty(f), run)
             illegal += not legal
             for evaluate in (
                 lambda: winner(f, interp, run),
@@ -764,6 +776,20 @@ class TestGarbledRuns:
                     for move in legal_moves(f, interp, run, player):
                         assert is_unilegal(f, interp, run + (LabMove(player, move),))
         assert N_CASES < illegal < N_CASES * 2
+
+    def test_advance_folds_to_residual(self):
+        # advancing move by move reaches residual's position at every legal
+        # prefix, and gives None exactly from the first illegal move onward
+        rng = random.Random(84)
+        for _ in range(N_CASES * 3):
+            f, interp, run = _garbled(rng)
+            state = ResidualState(apply_valuation(f, {}))
+            for i, m in enumerate(run, start=1):
+                state = state and advance(state, interp, m)
+                legal = reference_play(apply_valuation(f, {}), run[:i], interp) is not None
+                assert (state is not None) == legal, (pretty(f), run[:i])
+                if legal:
+                    assert state == residual(f, interp, run[:i])
 
     def test_legal_moves_lists_every_legal_extension(self):
         rng = random.Random(83)

@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import pytest
 
 from cl4kit.calculus import (
@@ -15,18 +17,21 @@ from cl4kit.games import (
     GeneralDef,
     Interpretation,
     LabMove,
+    is_manageable,
     is_top_delay,
     negate_run,
     project,
+    residual,
     run_of,
 )
 from cl4kit.strategy import (
+    Claim1Result,
     StrategyError,
     assert_claim1,
     enumerate_plays,
     extract_and_play,
 )
-from cl4kit.syntax import Atom, ChoOr, Var, elem_letter, parse
+from cl4kit.syntax import Atom, ChoOr, Var, elem_letter, general_dehybridization, parse
 
 
 def reasonable_proof(text: str):
@@ -92,6 +97,14 @@ class TestBasicPlays:
         t = extract_and_play(proof, interp, ["1", "0"])
         assert t.verdict == "environment-illegal"
 
+    def test_second_move_inside_a_general_atom_is_illegal(self):
+        # 1.2 resolves nothing on the root's surface, but in P's game it is a
+        # second move at a choice the environment already made with 1.1
+        proof = reasonable_proof("P -> P")
+        t = extract_and_play(proof, interactive_interp(), ["1.1", "1.2"])
+        assert (t.verdict, t.reason) == ("environment-illegal", "environment move '1.2' is illegal")
+        assert t.final_run == run_of(("B", "1.1"), ("T", "2.1"), ("B", "1.2"))
+
     def test_pass_midway_scores_position(self):
         proof = reasonable_proof("P -> P !/\\ P")
         interp = interactive_interp()
@@ -128,8 +141,6 @@ class TestClaim1:
         # corrupt a snapshot: pretend the machine moved alone in an
         # unmatched general quasiatom
         bad_event = t.events[-1]
-        from dataclasses import replace
-
         corrupted = replace(
             bad_event,
             state=replace(bad_event.state, omega=(LabMove("T", "2.9"),)),
@@ -178,6 +189,61 @@ class TestClaim1:
             assert is_stable(k_last).is_valid, script
             assert is_manageable(k_last, omega), script
             assert winner(k_last, interp, omega) == "T", script
+
+
+def _claim1_by_replay(transcript, proof, interp):
+    """assert_claim1 with the original game replayed from the empty run at
+    every event; a ValueError comes back as its type name."""
+    try:
+        for idx, event in enumerate(transcript.events):
+            k, omega = event.state.ground(), event.state.omega
+            manageable = is_manageable(k, omega)
+            if not manageable:
+                which = f"manageability clause {manageable.clause} at {manageable.address}"
+                return Claim1Result(False, idx, which)
+            left = residual(proof.conclusion, interp, event.theta_before)
+            right = residual(k, interp, omega)
+            if general_dehybridization(left.formula) != general_dehybridization(right.formula):
+                return Claim1Result(False, idx, "formulas")
+            if left.stored != right.stored:
+                return Claim1Result(False, idx, "stored quasiatom runs diverge")
+        return Claim1Result(True)
+    except ValueError:
+        return "ValueError"
+
+
+class TestClaim1Carry:
+    """assert_claim1 carries the original game's position from event to
+    event; a transcript whose theta does not grow that way is judged as a
+    replay from the empty run judges it."""
+
+    def test_tampered_theta(self):
+        proof = reasonable_proof("P /\\ P -> P")
+        interp = interactive_interp()
+        outcomes = set()
+        for _, t in enumerate_plays(proof, interp, max_env_moves=3):
+            for idx, event in enumerate(t.events):  # the middle ones and the rest
+                theta = event.theta_before
+                for tampered in (
+                    theta[:-1],
+                    theta + (LabMove("B", "1.1.1"),),
+                    theta + (LabMove("B", "9.9"),),
+                    theta[::-1],
+                    (),
+                ):
+                    events = list(t.events)
+                    events[idx] = replace(event, theta_before=tampered)
+                    tt = replace(t, events=events)
+                    expected = _claim1_by_replay(tt, proof, interp)
+                    try:
+                        got = assert_claim1(tt, proof, interp)
+                    except ValueError:
+                        got = "ValueError"
+                    if isinstance(got, Claim1Result) and got.which.startswith("residual"):
+                        got = replace(got, which="formulas")
+                    assert got == expected, (t.final_run, idx, tampered)
+                    outcomes.add(expected if isinstance(expected, str) else expected.ok)
+        assert outcomes == {True, False, "ValueError"}
 
 
 class TestEnumeration:
