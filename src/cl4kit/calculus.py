@@ -32,8 +32,8 @@ from .syntax import (
     Var,
     _read_int,
     addr_str,
+    check_depth,
     elem_letter,
-    free_variables,
     fresh_variable,
     gen_letter,
     hybrid_letter,
@@ -48,9 +48,7 @@ from .syntax import (
     replace_letter,
     resolve,
     substitute,
-    surface_occurrences,
     surface_path,
-    variables,
 )
 
 CL4 = "CL4"
@@ -139,7 +137,7 @@ def _is_target(occ: Occurrence, mover: str, kinds: tuple[type, ...]) -> bool:
 
 
 def _targets(e: Formula, mover: str, kinds: tuple[type, ...]) -> list[Occurrence]:
-    return [occ for occ in surface_occurrences(e) if _is_target(occ, mover, kinds)]
+    return [occ for occ in e.surface_occurrences if _is_target(occ, mover, kinds)]
 
 
 def rule_a_targets(e: Formula) -> list[Occurrence]:
@@ -164,7 +162,7 @@ def _is_general(qa: Formula) -> bool:
 
 def c_pairs(e: Formula) -> list[tuple[Occurrence, Occurrence]]:
     """(positive, negative) surface occurrence pairs of one general letter."""
-    occs = surface_occurrences(e)
+    occs = e.surface_occurrences
     out = []
     for pos in occs:
         if not _is_general(pos.quasiatom):
@@ -199,7 +197,7 @@ class APremise:
 
 
 def rule_a_premises(e: Formula) -> list[APremise]:
-    used_vars = variables(e)
+    used_vars = e.variables
     out: list[APremise] = []
     for occ in rule_a_targets(e):
         qa = occ.quasiatom
@@ -238,10 +236,10 @@ def match_a_premise(
     if req.kind == "component":
         return next(((k, None) for k, h in enumerate(supplied) if h == req.formula), None)
     qa, addr = req.occurrence.quasiatom, req.occurrence.address
-    e_vars = variables(e)
-    vacuous = qa.var not in free_variables(qa.body)
+    e_vars = e.variables
+    vacuous = qa.var not in qa.body.free_variables
     for k, h in enumerate(supplied):
-        for y in sorted(variables(h) - e_vars):
+        for y in sorted(h.variables - e_vars):
             if replace_at(e, addr, substitute(qa.body, qa.var, Var(y))) == h:
                 return k, y
         if vacuous and replace_at(e, addr, qa.body) == h:
@@ -416,7 +414,9 @@ def check_step(
 
 
 def check_proof(proof: Proof, budget: Budget = Budget()) -> CheckResult:
-    """Verify every step in its system; report the first bad step."""
+    """Verify every step in its system; report the first bad step.  Raises
+    ValueError when a step's formula is nested too deeply to check."""
+    check_depth(*(step.formula for step in proof.steps))
     if proof.system not in (CL4, CL4O):
         return CheckResult(False, None, f"unknown system {proof.system!r}")
     if not proof.steps:

@@ -25,7 +25,6 @@ from .syntax import (
     Var,
     constants,
     elem_letter,
-    free_variables,
     is_blind_free,
     is_elementary,
     subformulas,
@@ -189,7 +188,7 @@ def _tableau_closes(f: Formula, budget: Budget) -> bool:
     """True iff the signed tableau for 'f is false' closes, i.e. f is valid.
     Raises _BudgetExhausted when the expansion budget runs out."""
 
-    for x in sorted(free_variables(f)):
+    for x in sorted(f.free_variables):
         f = BlindAll(x, f)
 
     initial_params = tuple(sorted(constants(f))) or (0,)
@@ -260,7 +259,7 @@ def _find_countermodel(f: Formula, budget: Budget) -> tuple[Countermodel | None,
     """Search domains of size 1..budget.models.  Returns (model, exhausted)
     where exhausted means every size was fully searched."""
     f_consts = sorted(constants(f))
-    f_vars = sorted(free_variables(f))
+    f_vars = sorted(f.free_variables)
     letter_sigs = sorted(
         {
             (g.letter.name, g.letter.arity)

@@ -20,7 +20,9 @@ from unset to set, so a cached failure from a marked branch is met only once
 the search is marked; verdicts and proofs are exactly those of the search
 without the memo.  The memo lives for one decision, and its memory grows
 with the number of distinct formulas that decision visits, where the
-paper's recursion needs space only for one branch.
+paper's recursion needs space only for one branch; each memoized formula
+also carries the facts its nodes keep (hash, variable sets, surface
+occurrences).
 """
 
 from __future__ import annotations
@@ -48,15 +50,14 @@ from .syntax import (
     Term,
     Var,
     aggregate_complexity,
+    check_depth,
     constants,
-    free_variables,
     fresh_elem_name,
     fresh_variable,
     is_blind_free,
     is_formula,
     letter_names,
     pretty,
-    variables,
 )
 
 
@@ -126,9 +127,9 @@ def _stable(f: Formula, search: _Search) -> bool:
 
 def _b2_candidates(f: Formula) -> list[Term]:
     """Free variables of f, constants of f, plus one fresh variable."""
-    out: list[Term] = [Var(x) for x in sorted(free_variables(f))]
+    out: list[Term] = [Var(x) for x in sorted(f.free_variables)]
     out.extend(Const(c) for c in sorted(constants(f)))
-    out.append(Var(fresh_variable(variables(f))))
+    out.append(Var(fresh_variable(f.variables)))
     return out
 
 
@@ -193,6 +194,7 @@ def _decide(
     trace: list[str] | None,
     stats: dict | None = None,
 ) -> Decision:
+    check_depth(f)
     if not is_formula(f):
         raise ValueError("input must be hybrid-free")
     if certified and not is_blind_free(f):

@@ -39,7 +39,6 @@ from .syntax import (
     addr_str,
     apply_valuation,
     atoms,
-    free_variables,
     is_blind_free,
     is_reasonable,
     parse,
@@ -48,7 +47,6 @@ from .syntax import (
     resolve,
     substitute,
     substitute_all,
-    surface_occurrences,
     surface_path,
 )
 
@@ -122,7 +120,7 @@ class GeneralDef:
         for a in atoms(self.body):
             if a.letter.kind != "elementary":
                 raise ValueError("defining formulas range over elementary letters only")
-        extra = free_variables(self.body) - set(self.params)
+        extra = self.body.free_variables - set(self.params)
         if extra:
             raise ValueError(f"defining formula uses non-parameter variables {sorted(extra)}")
 
@@ -398,7 +396,7 @@ def legal_moves(f: Formula, interp: Interpretation, run: Run, player: str) -> li
     state = residual(f, interp, run)
     stored = state.stored_dict()
     out = []
-    for occ in surface_occurrences(state.formula):
+    for occ in state.formula.surface_occurrences:
         qa, prefix = occ.quasiatom, addr_str(occ.address)
         who = player if occ.polarity > 0 else flip(player)
         if isinstance(qa, Atom):
@@ -459,7 +457,7 @@ class Manageability:
 def hybrid_pairs(e: Formula) -> list[tuple[Occurrence, Occurrence]]:
     """(positive, negative) surface occurrence pairs per hybrid letter."""
     by_letter: dict[str, list[Occurrence]] = {}
-    for occ in surface_occurrences(e):
+    for occ in e.surface_occurrences:
         if isinstance(occ.quasiatom, Atom) and occ.quasiatom.letter.kind == "hybrid":
             by_letter.setdefault(occ.quasiatom.letter.name, []).append(occ)
     out = []
@@ -493,7 +491,7 @@ def is_manageable(e: Formula, run: Run) -> Manageability:
             return Manageability(
                 False, 2, addr_str(pos.address), "hybrid subplays are not mutual delays"
             )
-    for occ in surface_occurrences(e):
+    for occ in e.surface_occurrences:
         qa = occ.quasiatom
         if isinstance(qa, Atom) and qa.letter.kind == "general":
             sub = project(run, occ.address, "raw")

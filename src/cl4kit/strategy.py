@@ -42,7 +42,6 @@ from .syntax import (
     Var,
     addr_str,
     apply_valuation,
-    free_variables,
     general_dehybridization,
     is_blind_free,
     is_choice,
@@ -119,7 +118,7 @@ class StrategyError(ValueError):
 
 def _restrict(valuation: dict[str, int], f: Formula) -> None:
     """Drop the valuation's entries for variables not free in f."""
-    for z in set(valuation) - free_variables(f):
+    for z in set(valuation) - f.free_variables:
         del valuation[z]
 
 
@@ -151,7 +150,7 @@ def extract_and_play(
             if not is_reasonable(s.formula):
                 raise StrategyError(f"step {s.id} is not reasonable")
     conclusion = proof.conclusion
-    if free_variables(conclusion):
+    if conclusion.free_variables:
         raise StrategyError("the played formula must be closed")
     if not is_blind_free(conclusion):
         raise StrategyError("certified play requires a blind-free formula")
@@ -173,7 +172,7 @@ def extract_and_play(
 
     def snapshot() -> MachineState:
         # the valuation record mirrors exactly the free variables in play
-        assert set(valuation) == free_variables(current.formula)
+        assert set(valuation) == current.formula.free_variables
         return MachineState(current.formula, tuple(omega), tuple(sorted(valuation.items())))
 
     def record(loop: str, case: str, state: MachineState, before: Run, new: list[LabMove]) -> None:
@@ -207,7 +206,7 @@ def extract_and_play(
             move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{c}")
             play(move)
             premise = proof.step(current.premises[0])
-            if isinstance(t, Var) and t.name in free_variables(premise.formula):
+            if isinstance(t, Var) and t.name in premise.formula.free_variables:
                 valuation[t.name] = c
             current = premise
             record("main", "B2", state, theta_before, [move])
@@ -293,7 +292,7 @@ def extract_and_play(
             theta.append(env_move)
             if y is None:
                 _restrict(valuation, premise.formula)
-            elif y in free_variables(premise.formula):
+            elif y in premise.formula.free_variables:
                 valuation[y] = int(payload)
             current = premise
             case = "env-choice" if y is None else "env-choice-const"

@@ -118,9 +118,14 @@ class Formula:
     ``surface`` (its surface role) and ``conjunctive`` (True for the
     conjunctive member of each dual pair: parallel and choice conjunction,
     blind and choice universal quantification).
+
+    A node computes its hash, ``variables`` (free or bound) and
+    ``free_variables`` (frozensets built from its children's) and
+    ``surface_occurrences`` (a tuple) on first use and keeps them in the
+    slots below, so that its ``__dict__`` holds its dataclass fields alone.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_variables", "_free_variables", "_surface_occurrences")
     children: tuple[Formula, ...] = ()
     signs: tuple[int, ...] = ()
     bound_var: str | None = None
@@ -130,8 +135,85 @@ class Formula:
     def rebuild(self, children: Iterable[Formula]) -> Formula:
         return self
 
+    def _keep(self, slot: str, value):
+        object.__setattr__(self, slot, value)
+        return value
 
-@dataclass(frozen=True)
+    # The dataclass-generated comparison and hash: __dict__ is the fields.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return self._keep("_hash", hash(tuple(self.__dict__.values())))
+
+    def __getstate__(self) -> dict:
+        # the fields alone: a kept hash holds only in the process that made it
+        return self.__dict__
+
+    @property
+    def variables(self) -> frozenset[str]:
+        try:
+            return self._variables
+        except AttributeError:
+            found = _union(c.variables for c in self.children) if self.children else self.free_variables
+            if self.bound_var is not None and self.bound_var not in found:
+                found |= {self.bound_var}
+            return self._keep("_variables", found)
+
+    @property
+    def free_variables(self) -> frozenset[str]:
+        try:
+            return self._free_variables
+        except AttributeError:
+            found = _union(c.free_variables for c in self.children)
+            if isinstance(self, Atom):
+                found = frozenset(t.name for t in self.args if isinstance(t, Var)) or found
+            elif self.bound_var in found:
+                found -= {self.bound_var}
+            return self._keep("_free_variables", found)
+
+    @property
+    def surface_occurrences(self) -> tuple[Occurrence, ...]:
+        # Kept on the node asked only, not on its descendants (their
+        # addresses differ); a quasiatom's would refer back to it.
+        if self.surface is QUASIATOM:
+            return (Occurrence((), self, 1),)
+        try:
+            return self._surface_occurrences
+        except AttributeError:
+            found: list[Occurrence] = []
+
+            def walk(node: Formula, addr: Address, pol: int) -> None:
+                if node.surface is QUASIATOM:
+                    found.append(Occurrence(addr, node, pol))
+                elif node.surface is TRANSPARENT:
+                    walk(node.children[0], addr, pol * node.signs[0])
+                else:
+                    for i, (child, sign) in enumerate(zip(node.children, node.signs), start=1):
+                        walk(child, addr + (i,), pol * sign)
+
+            walk(self, (), 1)
+            return self._keep("_surface_occurrences", tuple(found))
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _union(sets: Iterable[frozenset[str]]) -> frozenset[str]:
+    """The union, sharing an operand that holds all the others."""
+    out = _NO_NAMES
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     letter: Letter
     args: tuple[Term, ...] = ()
@@ -144,7 +226,7 @@ class Atom(Formula):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
     body: Formula
 
@@ -160,7 +242,7 @@ class Neg(Formula):
         return Neg(body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Chain(Formula):
     """An n-ary connective; its parts are its children."""
 
@@ -182,20 +264,20 @@ class _Chain(Formula):
         return type(self)(tuple(children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParAnd(_Chain):
     _name = "parallel conjunction"
     surface = PARALLEL
     conjunctive = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParOr(_Chain):
     _name = "parallel disjunction"
     surface = PARALLEL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
@@ -212,18 +294,18 @@ class Implies(Formula):
         return Implies(lhs, rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoAnd(_Chain):
     _name = "choice conjunction"
     conjunctive = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoOr(_Chain):
     _name = "choice disjunction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Quantifier(Formula):
     var: str
     body: Formula
@@ -240,23 +322,23 @@ class _Quantifier(Formula):
         return type(self)(self.var, body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlindAll(_Quantifier):
     surface = TRANSPARENT
     conjunctive = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlindEx(_Quantifier):
     surface = TRANSPARENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoAll(_Quantifier):
     conjunctive = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoEx(_Quantifier):
     pass
 
@@ -308,7 +390,7 @@ def parse_addr(s: str) -> Address:
     return tuple(_read_int(tok, "address") for tok in s.split(".")[:-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurrence:
     address: Address
     quasiatom: Formula
@@ -340,20 +422,7 @@ def surface_path(
 
 def surface_occurrences(f: Formula) -> list[Occurrence]:
     """All quasiatoms of f with address and polarity, left to right."""
-
-    out: list[Occurrence] = []
-
-    def walk(node: Formula, addr: Address, pol: int) -> None:
-        if node.surface is QUASIATOM:
-            out.append(Occurrence(addr, node, pol))
-        elif node.surface is TRANSPARENT:
-            walk(node.children[0], addr, pol * node.signs[0])
-        else:
-            for i, (child, sign) in enumerate(zip(node.children, node.signs), start=1):
-                walk(child, addr + (i,), pol * sign)
-
-    walk(f, (), 1)
-    return out
+    return list(f.surface_occurrences)
 
 
 def _follow(f: Formula, addr: Address) -> tuple[list[tuple[Formula, int]], Occurrence]:
@@ -437,13 +506,7 @@ def letter_names(f: Formula) -> set[str]:
 
 def variables(f: Formula) -> set[str]:
     """All variable names occurring in f, free or bound."""
-    out: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out.update(t.name for t in g.args if isinstance(t, Var))
-        elif g.bound_var is not None:
-            out.add(g.bound_var)
-    return out
+    return set(f.variables)
 
 
 def constants(f: Formula) -> set[int]:
@@ -454,19 +517,7 @@ def constants(f: Formula) -> set[int]:
 
 
 def free_variables(f: Formula) -> set[str]:
-    out: set[str] = set()
-
-    def walk(node: Formula, bound: frozenset[str]) -> None:
-        if isinstance(node, Atom):
-            out.update(t.name for t in node.args if isinstance(t, Var) and t.name not in bound)
-            return
-        if node.bound_var is not None:
-            bound = bound | {node.bound_var}
-        for child in node.children:
-            walk(child, bound)
-
-    walk(f, frozenset())
-    return out
+    return set(f.free_variables)
 
 
 def substitute_all(f: Formula, terms: dict[str, Term]) -> Formula:
@@ -499,7 +550,7 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
 def apply_valuation(f: Formula, valuation: dict[str, int]) -> Formula:
     """Replace every free variable by the constant the valuation assigns to
     it (unmapped variables read as 0)."""
-    return substitute_all(f, {x: Const(valuation.get(x, 0)) for x in free_variables(f)})
+    return substitute_all(f, {x: Const(valuation.get(x, 0)) for x in f.free_variables})
 
 
 def is_elementary(f: Formula) -> bool:
@@ -684,6 +735,7 @@ _QUANT_SYMBOL = {BlindAll: "A", BlindEx: "E", ChoAll: "!A", ChoEx: "!E"}
 
 def pretty(f: Formula) -> str:
     """Canonical ASCII rendering; parse(pretty(f)) == f."""
+    check_depth(f)
 
     def needs_parens_in_chain(g: Formula) -> bool:
         return not isinstance(g, (Atom, Neg))
@@ -831,6 +883,25 @@ def _tokenize(text: str) -> list[_Token]:
 # nest.  Beyond this many levels the parser, and the recursive walkers that
 # later read the formula, would run out of Python stack; parse stops first.
 MAX_NESTING = 100
+
+# Formulas built in code have no nesting limit, so the library's entry points
+# (the decision procedures, check_proof and pretty) refuse any formula more
+# than this many nodes deep.  A parsed formula is at most MAX_NESTING + 1
+# nodes deep, and the walkers still fit in the default stack at this depth.
+MAX_DEPTH = 2 * MAX_NESTING
+
+
+def check_depth(*formulas: Formula) -> None:
+    """Raise ValueError when a formula is more than MAX_DEPTH nodes deep.
+    Walks level by level, without recursion, visiting a shared node once
+    per level."""
+    level = formulas
+    for _ in range(MAX_DEPTH):
+        level = {id(c): c for g in level for c in g.children}.values()
+        if not level:
+            return
+    raise ValueError(f"formula nested too deeply (more than {MAX_DEPTH} levels)")
+
 
 # Binary connectives by precedence, loosest first; the last level's parts are unary.
 _LEVELS = (("\\/", "CHO_OR", ParOr, ChoOr), ("/\\", "CHO_AND", ParAnd, ChoAnd))

@@ -34,6 +34,7 @@ from cl4kit.syntax import (
     Formula,
     Implies,
     Neg,
+    Occurrence,
     ParAnd,
     ParOr,
     Var,
@@ -329,3 +330,63 @@ def reference_play(f: Formula, run: Run, interp: Interpretation) -> bool | None:
             return None
         values.append(won if sign > 0 else not won)
     return all(values) if f.conjunctive else any(values)
+
+
+# ---------------------------------------------------------------------------
+# Reference walkers of the facts a node caches, uncached and written by node
+# class rather than from the node shape
+# ---------------------------------------------------------------------------
+
+_QUANTIFIERS = (BlindAll, BlindEx, ChoAll, ChoEx)
+
+
+def _subformulas_of(f: Formula) -> list[Formula]:
+    if isinstance(f, (Neg, *_QUANTIFIERS)):
+        return [f.body]
+    if isinstance(f, Implies):
+        return [f.lhs, f.rhs]
+    if isinstance(f, (ParAnd, ParOr, ChoAnd, ChoOr)):
+        return list(f.parts)
+    return []
+
+
+def reference_variables(f: Formula) -> set[str]:
+    """Every variable name in f, free or bound."""
+    if isinstance(f, Atom):
+        return {t.name for t in f.args if isinstance(t, Var)}
+    out = set().union(*map(reference_variables, _subformulas_of(f)))
+    if isinstance(f, _QUANTIFIERS):
+        out.add(f.var)
+    return out
+
+
+def reference_free_variables(f: Formula) -> set[str]:
+    if isinstance(f, Atom):
+        return reference_variables(f)
+    out = set().union(*map(reference_free_variables, _subformulas_of(f)))
+    if isinstance(f, _QUANTIFIERS):
+        out.discard(f.var)
+    return out
+
+
+def reference_surface_occurrences(
+    f: Formula, addr: tuple[int, ...] = (), pol: int = 1
+) -> list[Occurrence]:
+    """The quasiatoms of f, left to right: negations flip the polarity and
+    blind quantifiers pass it on; the parallel connectives add one address
+    index, and an implication's antecedent is negative."""
+    if isinstance(f, Neg):
+        return reference_surface_occurrences(f.body, addr, -pol)
+    if isinstance(f, (BlindAll, BlindEx)):
+        return reference_surface_occurrences(f.body, addr, pol)
+    if isinstance(f, Implies):
+        return reference_surface_occurrences(
+            f.lhs, addr + (1,), -pol
+        ) + reference_surface_occurrences(f.rhs, addr + (2,), pol)
+    if isinstance(f, (ParAnd, ParOr)):
+        return [
+            occ
+            for i, part in enumerate(f.parts, start=1)
+            for occ in reference_surface_occurrences(part, addr + (i,), pol)
+        ]
+    return [Occurrence(addr, f, pol)]

@@ -466,7 +466,10 @@ def fuzz_dir(tmp_path_factory):
 def _exit_cleanly(*argv, codes=(0, 1, 3)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as ex:  # a usage error: argparse exits the process
+            code = ex.code
     assert code in codes, (argv[:3], code, err.getvalue()[:300])
     assert "Traceback" not in err.getvalue()
     assert "set_int_max_str_digits" not in err.getvalue()
@@ -676,3 +679,52 @@ class TestLoaderFuzz:
             "play", *(f"--{name}={path}" for name, path in paths.items()),
             "--check-invariants", codes=(0, 1, 2, 3),
         )
+
+
+# The formula subcommands, on formula text built from the language's tokens
+# (nesting at and past parse's limit, over-long numbers included) and on
+# every option they read, and delay on arbitrary run documents.
+_TEXT_TOKENS = [
+    "P", "Q", "p", "q(x)", "P(0)", "T", "F", "x", "A x.", "E y.", "!A x.", "!E y.", "P#q",
+    "(", ")", ",", "~", "/\\", "\\/", "->", "!/\\", "!\\/", "¬", "⊓", "⊔", "∀", "#", "²",
+    f"p({_HUGE})",
+]
+_FORMULA_TEXTS = st.one_of(
+    st.sampled_from(_FUZZ_FORMULAS + ["P \\/ ~P", "!A x. !E y. (P(x) -> P(y))", "p !\\/ ~p"]),
+    st.lists(st.sampled_from(_TEXT_TOKENS), max_size=12).map(" ".join),
+    st.tuples(st.sampled_from(["~", "(", "!E x. "]), st.sampled_from([100, 101])).map(
+        lambda t: t[0] * t[1] + "P" + (")" * t[1] if t[0] == "(" else "")
+    ),
+)
+_BUDGETS = st.one_of(st.just([]), st.sampled_from(["0", "1", "-1", "3", "x", _HUGE]).map(
+    lambda n: ["--budget", n]
+))
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), unique=True)
+
+
+class TestFormulaCommandsFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_FORMULA_TEXTS, _flags("--extended", "--json", "--trace"), _BUDGETS)
+    def test_decide(self, formula, flags, budget):
+        _exit_cleanly("decide", formula, *flags, *budget, codes=(0, 1, 2, 3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_FORMULA_TEXTS, _flags("--extended", "--json", "--reasonable"), _BUDGETS)
+    def test_prove(self, formula, flags, budget):
+        _exit_cleanly("prove", formula, *flags, *budget, codes=(0, 1, 2, 3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_FORMULA_TEXTS, _flags("--stability", "--json"), _BUDGETS)
+    def test_elementarize(self, formula, flags, budget):
+        _exit_cleanly("elementarize", formula, *flags, *budget, codes=(0, 1, 2, 3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(_FUZZ_RUNS.map(json.dumps), _ENVIRONMENTS), _FUZZ_RUNS.map(json.dumps))
+    def test_delay(self, fuzz_dir, candidate, of):
+        paths = fuzz_dir / "candidate.json", fuzz_dir / "of.json"
+        paths[0].write_text(candidate)
+        paths[1].write_text(of)
+        _exit_cleanly("delay", "--candidate", str(paths[0]), "--of", str(paths[1]))

@@ -5,6 +5,7 @@ This guards that: the modules below may test a node against ``Atom``, and
 against no other node class."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,38 @@ def test_guard_sees_a_ladder():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_node_class_tests(module):
     assert _class_tests((PACKAGE / module).read_text()) == []
+
+
+# Every node class once, with variables free and bound.
+_EVERY_NODE = (
+    "!A x. (P(x, y) !/\\ (q(x) !\\/ ~(A y. (E z. (r(y, z) -> s /\\ P#h(x))) \\/ !E w. q(w))))"
+)
+
+
+def _node_classes():
+    return {
+        obj
+        for name, obj in vars(syntax).items()
+        if isinstance(obj, type) and issubclass(obj, syntax.Formula) and not name.startswith("_")
+    } - {syntax.Formula}
+
+
+def test_every_node_class_hashes_through_the_kept_hash():
+    assert len(_node_classes()) == 11
+    for cls in _node_classes():
+        assert cls.__hash__ is syntax.Formula.__hash__, cls.__name__
+        assert cls.__eq__ is syntax.Formula.__eq__, cls.__name__
+
+
+def test_kept_facts_stay_out_of_the_instance_dict():
+    """The facts a node keeps live in Formula's slots, so that a node costs
+    no more than its fields and the slots: after every fact of every node
+    has been read, each node's __dict__ holds its dataclass fields alone."""
+    nodes = list(syntax.subformulas(syntax.parse(_EVERY_NODE)))
+    assert {type(g) for g in nodes} == _node_classes()
+    for g in nodes:
+        hash(g), g.variables, g.free_variables, g.surface_occurrences
+        syntax.variables(g), syntax.free_variables(g), syntax.surface_occurrences(g)
+    for g in nodes:
+        assert list(vars(g)) == [fl.name for fl in fields(g)], type(g).__name__
+        assert g._hash == hash(g)

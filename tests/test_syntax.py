@@ -1,15 +1,22 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cl4kit.calculus import check_proof
-from cl4kit.decide import decide_blindfree
+from cl4kit.calculus import CL4, CL4O, RULE_A, Proof, ProofStep, check_proof, to_cl4o
+from cl4kit.decide import decide_blindfree, decide_extended
 import cl4kit.syntax as syntax
-from cl4kit.games import parse_move
+from cl4kit.games import Interpretation, parse_move
+from cl4kit.strategy import extract_and_play
 from cl4kit.syntax import (
+    MAX_DEPTH,
     MAX_NESTING,
     TOP,
     Atom,
@@ -27,6 +34,7 @@ from cl4kit.syntax import (
     addr_str,
     aggregate_complexity,
     apply_valuation,
+    check_depth,
     free_variables,
     gen_letter,
     general_dehybridization,
@@ -40,9 +48,17 @@ from cl4kit.syntax import (
     subformulas,
     substitute,
     surface_occurrences,
+    variables,
 )
 
-from helpers import random_blindfree, random_game_formula, random_qf_elementary
+from helpers import (
+    random_blindfree,
+    random_game_formula,
+    random_qf_elementary,
+    reference_free_variables,
+    reference_surface_occurrences,
+    reference_variables,
+)
 
 
 def rt(text):
@@ -147,6 +163,48 @@ def test_nesting_at_the_limit_prints_and_decides(text):
     assert d.status in ("provable", "unprovable")
     if d.is_provable:
         assert check_proof(d.proof).ok
+
+
+def _negations(n, f):
+    for _ in range(n):
+        f = Neg(f)
+    return f
+
+
+def test_parsed_formulas_pass_the_depth_bound():
+    # a parsed formula is at most MAX_NESTING + 1 nodes deep
+    for text in _AT_LIMIT.values():
+        check_depth(parse(text))
+    check_depth(_negations(MAX_DEPTH - 1, parse("p")))
+    with pytest.raises(ValueError, match="nested too deeply"):
+        check_depth(_negations(MAX_DEPTH, parse("p")))
+
+
+def _one_step(f, system):
+    return Proof(system, [ProofStep(1, f, RULE_A)])
+
+
+# The library's entry points, each given one formula built in code.
+_ENTRY_POINTS = {
+    "pretty": pretty,
+    "decide_blindfree": decide_blindfree,
+    "decide_extended": decide_extended,
+    "check_proof": lambda f: check_proof(_one_step(f, CL4)),
+    "to_cl4o": lambda f: to_cl4o(_one_step(f, CL4)),
+    "extract_and_play": lambda f: extract_and_play(_one_step(f, CL4O), Interpretation(), []),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS.values()), ids=list(_ENTRY_POINTS))
+def test_too_deep_formula_built_in_code_is_a_value_error(entry):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        entry(_negations(1200, parse("p \\/ ~p")))
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS.values()), ids=list(_ENTRY_POINTS))
+def test_formula_at_the_depth_bound_passes(entry):
+    # MAX_DEPTH nodes deep and provable, so every entry point runs to the end
+    entry(_negations(MAX_DEPTH - 2, parse("p -> p")))
 
 
 def test_nesting_limit_leaves_room_on_the_stack():
@@ -428,3 +486,64 @@ class TestConjunctive:
         assert set(table) == node_classes and len(table) == 11
         for cls, conjunctive in table.items():
             assert cls.conjunctive is conjunctive, cls.__name__
+
+
+def _fact_draws(seed):
+    """Seeded draws of every generator, and the game formulas again with
+    some constants opened up into free and bound variables."""
+    rng = random.Random(seed)
+    out = [random_blindfree(rng, depth=4) for _ in range(30)]
+    out += [random_qf_elementary(rng) for _ in range(30)]
+    for blind, hybrids in ((True, False), (False, True), (True, True)):
+        games = [
+            random_game_formula(rng, depth=4, with_blind=blind, with_hybrids=hybrids)[0]
+            for _ in range(30)
+        ]
+        out += games + [_open_up(f) for f in games]
+    return out
+
+
+class TestCachedFacts:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_facts_match_the_references(self, seed):
+        draws = _fact_draws(seed)
+        assert any(free_variables(f) for f in draws)
+        for f in draws:
+            # root first on the draw, so that a node's facts are built from
+            # its children's; leaves first on a fresh copy
+            nodes = [*subformulas(f), *reversed(list(subformulas(parse(pretty(f)))))]
+            for g in nodes + nodes:  # the second round reads the kept facts
+                assert variables(g) == reference_variables(g)
+                assert free_variables(g) == reference_free_variables(g)
+                assert surface_occurrences(g) == reference_surface_occurrences(g)
+                # the dataclass-generated hash, given that of every child
+                assert hash(g) == hash(tuple(getattr(g, fl.name) for fl in fields(g)))
+
+    def test_returned_collections_are_the_callers(self):
+        f = parse("!A x. (P(x, y) -> E z. q(z)) \\/ (r !/\\ s)")
+        for fact in (variables, free_variables, surface_occurrences):
+            expected = fact(f)
+            fact(f).clear()
+            assert fact(f) == expected and expected
+
+    def test_copies_and_pickles_take_the_fields_alone(self):
+        text = "!A x. (P(x, y) -> E z. q(z)) \\/ (r !/\\ s)"
+        f = parse(text)
+        hash(f), f.variables, f.free_variables, f.surface_occurrences
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f) and variables(g) == variables(f)
+        # another process hashes strings differently, so it must not be
+        # handed this one's hash
+        code = (
+            "import pickle, sys; from cl4kit.syntax import parse; "
+            "g = pickle.loads(sys.stdin.buffer.read()); "
+            f"print(hash(g) == hash(parse({text!r})))"
+        )
+        for seed in ("1", "2"):
+            src = os.path.dirname(os.path.dirname(syntax.__file__))
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", code], input=pickle.dumps(f), capture_output=True,
+                env=env, check=True,
+            )
+            assert out.stdout.strip() == b"True"
