@@ -20,23 +20,20 @@ from .games import BOT_PLAYER, TOP_PLAYER, choice_mover, read_json
 from .syntax import (
     Address,
     Atom,
-    ChoAll,
-    ChoAnd,
-    ChoEx,
-    ChoOr,
     Const,
     Formula,
-    Letter,
     Occurrence,
     Term,
     Var,
     _read_int,
+    _unreasonable_letters,
     addr_str,
     check_depth,
     elem_letter,
     fresh_variable,
     gen_letter,
     hybrid_letter,
+    is_choice,
     is_formula,
     is_reasonable,
     letter_names,
@@ -126,34 +123,35 @@ class CheckResult:
 # Rule targets
 # ---------------------------------------------------------------------------
 
-_CONNECTIVES = (ChoAnd, ChoOr)
-_QUANTIFIERS = (ChoAll, ChoEx)
-
-
-def _is_target(occ: Occurrence, mover: str, kinds: tuple[type, ...]) -> bool:
-    """Is occ a choice quasiatom of one of these kinds that mover resolves?"""
+def _is_target(occ: Occurrence, mover: str, quantifier: bool | None = None) -> bool:
+    """Is occ a choice quasiatom that mover resolves: a choice quantifier
+    (quantifier=True), a choice connective (False) or either (None)?"""
     qa = occ.quasiatom
-    return isinstance(qa, kinds) and choice_mover(qa, occ.polarity) == mover
+    return (
+        is_choice(qa)
+        and quantifier in (None, qa.bound_var is not None)
+        and choice_mover(qa, occ.polarity) == mover
+    )
 
 
-def _targets(e: Formula, mover: str, kinds: tuple[type, ...]) -> list[Occurrence]:
-    return [occ for occ in e.surface_occurrences if _is_target(occ, mover, kinds)]
+def _targets(e: Formula, mover: str, quantifier: bool | None = None) -> list[Occurrence]:
+    return [occ for occ in e.surface_occurrences if _is_target(occ, mover, quantifier)]
 
 
 def rule_a_targets(e: Formula) -> list[Occurrence]:
     """Surface occurrences Rule A quantifies over: the choices the environment
     resolves (positive caps, negative cups)."""
-    return _targets(e, BOT_PLAYER, _CONNECTIVES + _QUANTIFIERS)
+    return _targets(e, BOT_PLAYER)
 
 
 def b1_targets(e: Formula) -> list[Occurrence]:
     """Choice connectives the machine resolves (negative cap, positive cup)."""
-    return _targets(e, TOP_PLAYER, _CONNECTIVES)
+    return _targets(e, TOP_PLAYER, quantifier=False)
 
 
 def b2_targets(e: Formula) -> list[Occurrence]:
     """Choice quantifiers the machine resolves (negative cap, positive cup)."""
-    return _targets(e, TOP_PLAYER, _QUANTIFIERS)
+    return _targets(e, TOP_PLAYER, quantifier=True)
 
 
 def _is_general(qa: Formula) -> bool:
@@ -201,7 +199,7 @@ def rule_a_premises(e: Formula) -> list[APremise]:
     out: list[APremise] = []
     for occ in rule_a_targets(e):
         qa = occ.quasiatom
-        if isinstance(qa, _CONNECTIVES):
+        if qa.bound_var is None:
             for i, comp in enumerate(qa.parts, start=1):
                 out.append(
                     APremise(occ, "component", i, None, replace_at(e, occ.address, comp))
@@ -308,7 +306,7 @@ def rule_premise(e: Formula, rule: RuleApplication) -> Formula:
         if rule.addr is None or rule.index is None:
             raise ValueError("Rule B1 needs an address and a component index")
         occ = _resolve(e, rule.addr)
-        if not _is_target(occ, TOP_PLAYER, _CONNECTIVES):
+        if not _is_target(occ, TOP_PLAYER, quantifier=False):
             raise ValueError("Rule B1 requires a negative cap or positive cup occurrence")
         parts = occ.quasiatom.parts
         if not 1 <= rule.index <= len(parts):
@@ -319,7 +317,7 @@ def rule_premise(e: Formula, rule: RuleApplication) -> Formula:
         if rule.addr is None or rule.term is None:
             raise ValueError("Rule B2 needs an address and a term")
         occ = _resolve(e, rule.addr)
-        if not _is_target(occ, TOP_PLAYER, _QUANTIFIERS):
+        if not _is_target(occ, TOP_PLAYER, quantifier=True):
             raise ValueError(
                 "Rule B2 requires a negative cap-quantifier or positive cup-quantifier occurrence"
             )
@@ -609,23 +607,6 @@ def to_cl4o(proof: Proof, budget: Budget = Budget()) -> Proof:
 # ---------------------------------------------------------------------------
 # Reasonable CL4o proofs
 # ---------------------------------------------------------------------------
-
-
-def _unreasonable_letters(f: Formula) -> dict[str, Letter]:
-    """The unreasonable hybrid letters of f, by name."""
-    # is_reasonable reports only the first unreasonable letter, so probe
-    # each hybrid letter with the others replaced by their general parts.
-    out = {}
-    hybrids = [lt for lt in letters(f) if lt.kind == "hybrid"]
-    for lt in hybrids:
-        g = f
-        for other in hybrids:
-            if other != lt:
-                g = replace_letter(g, other, gen_letter(other.general, other.arity))
-        r = is_reasonable(g)
-        if r.status == "unreasonable" and r.detail == lt.name:
-            out[lt.name] = lt
-    return out
 
 
 def _tilde(f: Formula) -> Formula:

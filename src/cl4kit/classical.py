@@ -302,6 +302,11 @@ def fo_validity(f: Formula, budget: Budget = Budget()) -> Verdict:
     both certified; Unknown signals budget exhaustion."""
     if not is_elementary(f):
         raise ValueError("fo_validity requires elementary input")
+    return _validity(f, budget)
+
+
+def _validity(f: Formula, budget: Budget) -> Verdict:
+    """fo_validity of a formula known to be elementary."""
     if is_blind_free(f):
         model = _qf_countermodel(f)
         return VALID if model is None else Verdict("invalid", model)
@@ -325,4 +330,4 @@ def fo_validity(f: Formula, budget: Budget = Budget()) -> Verdict:
 def is_stable(f: Formula, budget: Budget = Budget()) -> Verdict:
     """Classical validity of the elementarization.  Exact (never Unknown)
     when the elementarization is quantifier-free."""
-    return fo_validity(elementarize(f), budget)
+    return _validity(elementarize(f), budget)

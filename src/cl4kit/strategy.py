@@ -24,6 +24,7 @@ from .games import (
     ResidualState,
     Run,
     TOP_PLAYER,
+    _wins,
     advance,
     choice_mover,
     hybrid_pairs,
@@ -32,7 +33,6 @@ from .games import (
     parse_move,
     project,
     residual,
-    winner,
 )
 from .syntax import (
     Atom,
@@ -303,7 +303,8 @@ def extract_and_play(
         return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} fits no subcase")
 
     record("main", "final", snapshot(), tuple(theta), [])
-    won = winner(conclusion, interp, tuple(theta)) == TOP_PLAYER
+    # residual raises the error naming an illegal machine move
+    won = _wins(position or residual(conclusion, interp, tuple(theta)), interp)
     return finish(MACHINE_WINS if won else MACHINE_LOSES)
 
 

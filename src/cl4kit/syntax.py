@@ -31,7 +31,7 @@ GENERAL = "general"
 HYBRID = "hybrid"
 
 _VAR_RE = re.compile(r"[uvwxyz][0-9]*\Z")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 
 
 def is_variable_name(name: str) -> bool:
@@ -105,6 +105,11 @@ QUASIATOM = "quasiatom"
 TRANSPARENT = "transparent"
 PARALLEL = "parallel"
 
+# Binding strengths, loosest first; atoms bind tightest.  The parser reads
+# an operand at the strength its slot asks for; the printer brackets an
+# operand that binds more loosely than that.
+_IMPLICATION, _DISJUNCTION, _CONJUNCTION, _QUANTIFIER, _NEGATION = range(5)
+
 
 class Formula:
     """Base class for hyperformula nodes.
@@ -119,6 +124,11 @@ class Formula:
     conjunctive member of each dual pair: parallel and choice conjunction,
     blind and choice universal quantification).
 
+    Every operator class also states its notation, which the tokenizer,
+    the parser and the printer all read: ``spellings`` (the ASCII spelling
+    that ``pretty`` writes, then the Unicode one that ``parse`` also
+    reads) and ``binding`` (its binding strength).
+
     A node computes its hash, ``variables`` (free or bound) and
     ``free_variables`` (frozensets built from its children's) and
     ``surface_occurrences`` (a tuple) on first use and keeps them in the
@@ -131,6 +141,8 @@ class Formula:
     bound_var: str | None = None
     surface = QUASIATOM
     conjunctive = False
+    spellings: tuple[str, ...]
+    binding: int
 
     def rebuild(self, children: Iterable[Formula]) -> Formula:
         return self
@@ -232,6 +244,8 @@ class Neg(Formula):
 
     signs = (-1,)
     surface = TRANSPARENT
+    spellings = ("~", "¬")
+    binding = _NEGATION
 
     @property
     def children(self) -> tuple[Formula, ...]:
@@ -269,12 +283,16 @@ class ParAnd(_Chain):
     _name = "parallel conjunction"
     surface = PARALLEL
     conjunctive = True
+    spellings = ("/\\", "∧")
+    binding = _CONJUNCTION
 
 
 @dataclass(frozen=True, eq=False)
 class ParOr(_Chain):
     _name = "parallel disjunction"
     surface = PARALLEL
+    spellings = ("\\/", "∨")
+    binding = _DISJUNCTION
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,6 +302,8 @@ class Implies(Formula):
 
     signs = (-1, 1)
     surface = PARALLEL
+    spellings = ("->", "→")
+    binding = _IMPLICATION
 
     @property
     def children(self) -> tuple[Formula, ...]:
@@ -298,11 +318,15 @@ class Implies(Formula):
 class ChoAnd(_Chain):
     _name = "choice conjunction"
     conjunctive = True
+    spellings = ("!/\\", "⊓")
+    binding = _CONJUNCTION
 
 
 @dataclass(frozen=True, eq=False)
 class ChoOr(_Chain):
     _name = "choice disjunction"
+    spellings = ("!\\/", "⊔")
+    binding = _DISJUNCTION
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +336,7 @@ class _Quantifier(Formula):
 
     signs = (1,)
     bound_var = property(attrgetter("var"))
+    binding = _QUANTIFIER
 
     @property
     def children(self) -> tuple[Formula, ...]:
@@ -326,32 +351,32 @@ class _Quantifier(Formula):
 class BlindAll(_Quantifier):
     surface = TRANSPARENT
     conjunctive = True
+    spellings = ("A", "∀")
 
 
 @dataclass(frozen=True, eq=False)
 class BlindEx(_Quantifier):
     surface = TRANSPARENT
+    spellings = ("E", "∃")
 
 
 @dataclass(frozen=True, eq=False)
 class ChoAll(_Quantifier):
     conjunctive = True
+    spellings = ("!A", "⊓")
 
 
 @dataclass(frozen=True, eq=False)
 class ChoEx(_Quantifier):
-    pass
+    spellings = ("!E", "⊔")
 
 
 TOP = Atom(elem_letter("T"))
 BOT = Atom(elem_letter("F"))
 
-_QUANTS = (BlindAll, BlindEx, ChoAll, ChoEx)
-_CHOICE = (ChoAnd, ChoOr, ChoAll, ChoEx)
-
 
 def is_choice(f: Formula) -> bool:
-    return isinstance(f, _CHOICE)
+    return f.surface is QUASIATOM and not isinstance(f, Atom)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +594,7 @@ def is_formula(f: Formula) -> bool:
 
 
 def is_blind_free(f: Formula) -> bool:
-    return not any(isinstance(g, (BlindAll, BlindEx)) for g in subformulas(f))
+    return not any(g.surface is TRANSPARENT and g.bound_var is not None for g in subformulas(f))
 
 
 def aggregate_complexity(f: Formula) -> int:
@@ -641,19 +666,44 @@ def _letter_occurrences(f: Formula) -> list[tuple[Atom, int, frozenset[str]]]:
     return out
 
 
+def _by_hybrid(
+    f: Formula,
+) -> tuple[dict[Letter, list[tuple[Atom, int, frozenset[str]]]], set[str]]:
+    """Each hybrid letter's atom occurrences in f, and the names of f's
+    elementary letters."""
+    occurrences = _letter_occurrences(f)
+    elem_names = {a.letter.name for a, _, _ in occurrences if a.letter.kind == ELEMENTARY}
+    by_hybrid: dict[Letter, list[tuple[Atom, int, frozenset[str]]]] = {}
+    for a, pol, bound in occurrences:
+        if a.letter.kind == HYBRID:
+            by_hybrid.setdefault(a.letter, []).append((a, pol, bound))
+    return by_hybrid, elem_names
+
+
+def _disagree(occs: list[tuple[Atom, int, frozenset[str]]]) -> bool:
+    """Whether a hybrid letter's two atoms disagree on an argument position
+    that is free in both."""
+    (a1, _, bound1), (a2, _, bound2) = occs
+    for t1, t2 in zip(a1.args, a2.args):
+        free1 = isinstance(t1, Const) or t1.name not in bound1
+        free2 = isinstance(t2, Const) or t2.name not in bound2
+        if free1 and free2 and t1 != t2:
+            return True
+    return False
+
+
+def _unreasonable_letters(f: Formula) -> dict[str, Letter]:
+    """The unreasonable hybrid letters of a balanced f, by name."""
+    by_hybrid, _ = _by_hybrid(f)
+    return {lt.name: lt for lt, occs in by_hybrid.items() if len(occs) == 2 and _disagree(occs)}
+
+
 def is_reasonable(f: Formula) -> Reasonableness:
     """Balanced (each hybrid letter: one positive and one negative surface
     occurrence, elementary component fresh) and no hybrid letter whose two
     atoms disagree on a free argument position."""
 
-    occurrences = _letter_occurrences(f)
-    elem_names = {
-        a.letter.name for a, _, _ in occurrences if a.letter.kind == ELEMENTARY
-    }
-    by_hybrid: dict[Letter, list[tuple[Atom, int, frozenset[str]]]] = {}
-    for a, pol, bound in occurrences:
-        if a.letter.kind == HYBRID:
-            by_hybrid.setdefault(a.letter, []).append((a, pol, bound))
+    by_hybrid, elem_names = _by_hybrid(f)
 
     for lt, occs in by_hybrid.items():
         if len(occs) != 2:
@@ -675,12 +725,8 @@ def is_reasonable(f: Formula) -> Reasonableness:
                 )
 
     for lt, occs in by_hybrid.items():
-        (a1, _, bound1), (a2, _, bound2) = occs
-        for t1, t2 in zip(a1.args, a2.args):
-            free1 = isinstance(t1, Const) or t1.name not in bound1
-            free2 = isinstance(t2, Const) or t2.name not in bound2
-            if free1 and free2 and t1 != t2:
-                return Reasonableness("unreasonable", lt.name)
+        if _disagree(occs):
+            return Reasonableness("unreasonable", lt.name)
 
     return Reasonableness("reasonable")
 
@@ -730,52 +776,37 @@ def _atom_str(a: Atom) -> str:
     return f"{a.letter.name}({', '.join(str(t) for t in a.args)})"
 
 
-_QUANT_SYMBOL = {BlindAll: "A", BlindEx: "E", ChoAll: "!A", ChoEx: "!E"}
-
-
 def pretty(f: Formula) -> str:
     """Canonical ASCII rendering; parse(pretty(f)) == f."""
     check_depth(f)
 
-    def needs_parens_in_chain(g: Formula) -> bool:
-        return not isinstance(g, (Atom, Neg))
-
-    def render(g: Formula) -> str:
+    def render(g: Formula, need: int, whole: bool) -> str:
+        """g in a slot that takes unbracketed the operators binding at least
+        as tightly as `need`.  A quantifier's body runs as far right as it
+        can, so a quantifier stands unbracketed only in a slot that the
+        parser reads as a whole formula (`whole`): a quantifier's body or
+        an implication's right side."""
         if isinstance(g, Atom):
             return _atom_str(g)
-        if isinstance(g, Neg):
-            inner = render(g.body)
-            if isinstance(g.body, (Atom, Neg)):
-                return f"~{inner}"
-            return f"~({inner})"
-        if isinstance(g, (ParAnd, ChoAnd)):
-            op = " /\\ " if isinstance(g, ParAnd) else " !/\\ "
-            return op.join(
-                f"({render(p)})" if needs_parens_in_chain(p) else render(p)
-                for p in g.parts
-            )
-        if isinstance(g, (ParOr, ChoOr)):
-            op = " \\/ " if isinstance(g, ParOr) else " !\\/ "
+        op, binding = g.spellings[0], g.binding
+        if g.bound_var is not None:
+            text = f"{op} {g.bound_var}. {render(g.children[0], binding, True)}"
+        elif binding == _NEGATION:
+            text = op + render(g.children[0], binding, False)
+        else:
+            # operands bind more tightly, but an implication nests to the right
+            *init, last = g.children
+            texts = [render(c, binding + 1, False) for c in init]
+            if binding == _IMPLICATION:
+                texts.append(render(last, binding, True))
+            else:
+                texts.append(render(last, binding + 1, False))
+            text = f" {op} ".join(texts)
+        if binding < need or (g.bound_var is not None and not whole):
+            return f"({text})"
+        return text
 
-            def sub(p: Formula) -> str:
-                if isinstance(p, (Atom, Neg, ParAnd, ChoAnd)):
-                    return render(p)
-                return f"({render(p)})"
-
-            return op.join(sub(p) for p in g.parts)
-        if isinstance(g, Implies):
-            lhs = render(g.lhs)
-            if isinstance(g.lhs, (Implies, *_QUANTS)):
-                lhs = f"({lhs})"
-            return f"{lhs} -> {render(g.rhs)}"
-        if isinstance(g, _QUANTS):
-            body = render(g.body)
-            if isinstance(g.body, (ParAnd, ParOr, ChoAnd, ChoOr, Implies)):
-                body = f"({body})"
-            return f"{_QUANT_SYMBOL[type(g)]} {g.var}. {body}"
-        raise TypeError(f"unknown node {g!r}")  # pragma: no cover
-
-    return render(f)
+    return render(f, _IMPLICATION, True)
 
 
 # ---------------------------------------------------------------------------
@@ -798,84 +829,45 @@ class _Token:
     col: int
 
 
-_UNICODE_MAP = {
-    "¬": "~",  # negation
-    "∧": "/\\",
-    "∨": "\\/",
-    "→": "->",
-    "⊔": "CHO_OR",  # square cup: choice disjunction / quantifier
-    "⊓": "CHO_AND",  # square cap
-    "∀": "A",
-    "∃": "E",
-    "⊤": "T",
-    "⊥": "F",
+# Each spelling of an operator, with the classes it spells: ⊓ and ⊔ spell
+# a choice connective and a choice quantifier.
+_OPERATORS = (Neg, ParAnd, ParOr, Implies, ChoAnd, ChoOr, BlindAll, BlindEx, ChoAll, ChoEx)
+_SPELLINGS = {
+    s: tuple(c for c in _OPERATORS if s in c.spellings) for c in _OPERATORS for s in c.spellings
 }
+
+# One token per match.  The spellings that are identifiers (A, E) are read
+# as identifiers, the others as symbols; a symbol ending in a letter (!A,
+# !E) must not run into a letter or digit.  ⊤ and ⊥ spell the letters T
+# and F.
+_TOKEN_RE = re.compile(
+    rf"(?P<newline>\n)|(?P<space>\s)|(?P<NUMBER>\d+)|(?P<IDENT>{_IDENT})|(?P<T>⊤)|(?P<F>⊥)"
+    + "|(?P<symbol>"
+    + "|".join(
+        re.escape(s) + (r"(?![^\W_])" if s[-1].isalnum() else "")
+        for s in sorted(_SPELLINGS, key=len, reverse=True)
+        if not re.fullmatch(_IDENT, s)
+    )
+    + r"|[(),.#])|(?P<error>.)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-
-        def emit(kind: str, text_: str, length: int) -> None:
-            nonlocal i, col
-            tokens.append(_Token(kind, text_, start_line, start_col))
-            i += length
-            col += length
-
-        if ch in _UNICODE_MAP:
-            mapped = _UNICODE_MAP[ch]
-            if mapped in ("CHO_OR", "CHO_AND"):
-                emit(mapped, ch, 1)
-            elif mapped in ("A", "E"):
-                emit("QUANT_" + mapped, ch, 1)
-            elif mapped == "T":
-                emit("IDENT", "T", 1)
-            elif mapped == "F":
-                emit("IDENT", "F", 1)
-            else:
-                emit(mapped, ch, 1)
-            continue
-        if text.startswith("!/\\", i):
-            emit("CHO_AND", "!/\\", 3)
-        elif text.startswith("!\\/", i):
-            emit("CHO_OR", "!\\/", 3)
-        elif text.startswith("!A", i) and not text[i + 2 : i + 3].isalnum():
-            emit("CHO_A", "!A", 2)
-        elif text.startswith("!E", i) and not text[i + 2 : i + 3].isalnum():
-            emit("CHO_E", "!E", 2)
-        elif text.startswith("/\\", i):
-            emit("/\\", "/\\", 2)
-        elif text.startswith("\\/", i):
-            emit("\\/", "\\/", 2)
-        elif text.startswith("->", i):
-            emit("->", "->", 2)
-        elif ch == "~":
-            emit("~", "~", 1)
-        elif ch in "(),.#":
-            emit(ch, ch, 1)
-        elif ch.isdecimal():
-            m = re.match(r"\d+", text[i:])
-            emit("NUMBER", m.group(), len(m.group()))
-        elif ch.isalpha():
-            m = re.match(r"[A-Za-z][A-Za-z0-9_]*", text[i:])
-            emit("IDENT", m.group(), len(m.group()))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "error":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind == "symbol":
+            tokens.append(_Token(m.group(), m.group(), line, col))
+        elif kind in ("T", "F"):
+            tokens.append(_Token("IDENT", kind, line, col))
+        elif kind != "space":
+            tokens.append(_Token(kind, m.group(), line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -901,10 +893,6 @@ def check_depth(*formulas: Formula) -> None:
         if not level:
             return
     raise ValueError(f"formula nested too deeply (more than {MAX_DEPTH} levels)")
-
-
-# Binary connectives by precedence, loosest first; the last level's parts are unary.
-_LEVELS = (("\\/", "CHO_OR", ParOr, ChoOr), ("/\\", "CHO_AND", ParAnd, ChoAnd))
 
 
 class _Parser:
@@ -941,82 +929,82 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
+    def spelled(self, binding: int) -> type[Formula] | None:
+        """The operator of this binding strength that the next token
+        spells, if any."""
+        classes = _SPELLINGS.get(self.peek().text, ())
+        return next((c for c in classes if c.binding == binding), None)
+
     def formula(self) -> Formula:
         """A formula one nesting level below the caller's."""
         self.deeper()
-        f = self._chain(0)
-        if self.peek().kind == "->":
+        f = self._chain(_DISJUNCTION)
+        implication = self.spelled(_IMPLICATION)
+        if implication is not None:
             self.next()
-            f = Implies(f, self.formula())
+            f = implication(f, self.formula())
         self.nesting -= 1
         return f
 
-    def _chain(self, level: int) -> Formula:
-        par_kind, cho_kind, par_cls, cho_cls = _LEVELS[level]
+    def _chain(self, binding: int) -> Formula:
+        """Operands joined by connectives of this binding strength, all of
+        one class; the strongest connectives join unary operands."""
         parts: list[Formula] = []
-        node_kind = None
+        node_cls = None
         while True:
-            parts.append(self._chain(level + 1) if level + 1 < len(_LEVELS) else self.unary())
-            tok = self.peek()
-            if tok.kind not in (par_kind, cho_kind):
+            parts.append(self._chain(binding + 1) if binding < _CONJUNCTION else self.unary())
+            tok, cls = self.peek(), self.spelled(binding)
+            if cls is None:
                 break
-            if node_kind not in (None, tok.kind):
+            if node_cls not in (None, cls):
                 raise ParseError(
                     "mixing parallel and choice connectives at one level "
                     "requires parentheses",
                     tok.line,
                     tok.col,
                 )
-            node_kind = tok.kind
+            node_cls = cls
             self.next()
         if len(parts) == 1:
             return parts[0]
-        return (par_cls if node_kind == par_kind else cho_cls)(tuple(parts))
+        return node_cls(tuple(parts))
 
-    def _quantifier_ahead(self) -> str | None:
-        """Return the quantifier class name when the upcoming tokens read as
-        a quantifier prefix, else None."""
+    def _prefix_ahead(self) -> type[Formula] | None:
+        """The negation or quantifier class that the upcoming tokens open,
+        else None.  A spelling that also spells a connective (⊓, ⊔) or a
+        letter (A, E) opens a quantifier only when a variable follows it,
+        and after a letter's spelling only with a dot after the variable."""
         tok = self.peek()
-        if tok.kind in ("CHO_A", "CHO_E", "QUANT_A", "QUANT_E"):
-            return {"CHO_A": "ChoAll", "CHO_E": "ChoEx", "QUANT_A": "BlindAll", "QUANT_E": "BlindEx"}[tok.kind]
-        if tok.kind in ("CHO_AND", "CHO_OR") and tok.text in ("⊓", "⊔"):
-            nxt = self.peek(1)
-            if nxt.kind == "IDENT" and is_variable_name(nxt.text):
-                return "ChoAll" if tok.kind == "CHO_AND" else "ChoEx"
-            return None
-        if tok.kind == "IDENT" and tok.text in ("A", "E"):
-            nxt = self.peek(1)
-            if nxt.kind == "IDENT" and is_variable_name(nxt.text):
-                after = self.peek(2)
-                if after.kind == ".":
-                    return "BlindAll" if tok.text == "A" else "BlindEx"
+        cls = self.spelled(_NEGATION) or self.spelled(_QUANTIFIER)
+        if cls is None or (tok.kind != "IDENT" and len(_SPELLINGS[tok.text]) == 1):
+            return cls
+        var = self.peek(1)
+        if var.kind == "IDENT" and is_variable_name(var.text):
+            if tok.kind != "IDENT" or self.peek(2).kind == ".":
+                return cls
         return None
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        cls = self._prefix_ahead()
+        if cls is None:
+            return self.atom_expr()
+        self.next()
+        if cls.binding == _NEGATION:
             self.deeper()
             body = self.unary()
             self.nesting -= 1
-            return Neg(body)
-        quant = self._quantifier_ahead()
-        if quant is not None:
+            return cls(body)
+        var_tok = self.expect("IDENT")
+        if not is_variable_name(var_tok.text):
+            raise ParseError(
+                f"{var_tok.text!r} is not a variable (variables are u..z with "
+                "an optional digit suffix)",
+                var_tok.line,
+                var_tok.col,
+            )
+        if self.peek().kind == ".":
             self.next()
-            var_tok = self.expect("IDENT")
-            if not is_variable_name(var_tok.text):
-                raise ParseError(
-                    f"{var_tok.text!r} is not a variable (variables are u..z with "
-                    "an optional digit suffix)",
-                    var_tok.line,
-                    var_tok.col,
-                )
-            if self.peek().kind == ".":
-                self.next()
-            body = self.formula()
-            cls = {"ChoAll": ChoAll, "ChoEx": ChoEx, "BlindAll": BlindAll, "BlindEx": BlindEx}[quant]
-            return cls(var_tok.text, body)
-        return self.atom_expr()
+        return cls(var_tok.text, self.formula())
 
     def atom_expr(self) -> Formula:
         tok = self.peek()

@@ -82,6 +82,8 @@ class MoleculeSignature:
             raise ValueError(f"malformed molecule signature: {ex}") from None
         if not all(type(n) is int for n in (m, *arities.values())):
             raise ValueError("malformed molecule signature: m and arities must be integers")
+        if m < 2:
+            raise ValueError("malformed molecule signature: m must be at least 2")
         return cls(m, names, arities)
 
 
@@ -159,22 +161,21 @@ def _match_small(node: Formula, sig: MoleculeSignature) -> tuple[str, int, int, 
     return None
 
 def _match_medium(node: Formula, sig: MoleculeSignature) -> tuple[str, int, tuple] | None:
-    if not isinstance(node, ChoOr) or len(node.parts) != sig.m:
+    if len(node.children) != sig.m:
         return None
-    first = _match_small(node.parts[0], sig)
+    first = _match_small(node.children[0], sig)
     if first is None or first[2] != 1:
         return None
     p, a, _, args = first
-    for b, part in enumerate(node.parts, start=1):
-        if part != sig.small(p, a, b, args):
-            return None
+    if node != sig.medium(p, a, args):
+        return None
     return p, a, args
 
 
 def _match_large(node: Formula, sig: MoleculeSignature) -> tuple[str, tuple] | None:
-    if not isinstance(node, ChoAnd) or len(node.parts) != sig.m:
+    if len(node.children) != sig.m:
         return None
-    first = _match_medium(node.parts[0], sig)
+    first = _match_medium(node.children[0], sig)
     if first is None or first[1] != 1:
         return None
     p, _, args = first

@@ -41,6 +41,9 @@ from cl4kit.syntax import (
     elem_letter,
     gen_letter,
     hybrid_letter,
+    is_reasonable,
+    letters,
+    replace_letter,
     substitute,
 )
 
@@ -390,3 +393,60 @@ def reference_surface_occurrences(
             for occ in reference_surface_occurrences(part, addr + (i,), pol)
         ]
     return [Occurrence(addr, f, pol)]
+
+
+def reference_unreasonable_letters(f: Formula) -> dict:
+    """The unreasonable hybrid letters of f, by name, found by asking
+    is_reasonable about each hybrid letter with every other one turned back
+    into its general letter (is_reasonable reports only the first)."""
+    out = {}
+    hybrids = [lt for lt in letters(f) if lt.kind == "hybrid"]
+    for lt in hybrids:
+        g = f
+        for other in hybrids:
+            if other != lt:
+                g = replace_letter(g, other, gen_letter(other.general, other.arity))
+        r = is_reasonable(g)
+        if r.status == "unreasonable" and r.detail == lt.name:
+            out[lt.name] = lt
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference printer, written by node class rather than from the notation the
+# node classes state
+# ---------------------------------------------------------------------------
+
+_REFERENCE_SYMBOLS = {BlindAll: "A", BlindEx: "E", ChoAll: "!A", ChoEx: "!E"}
+
+
+def reference_pretty(g: Formula) -> str:
+    if isinstance(g, Atom):
+        args = ", ".join(str(t) for t in g.args)
+        return f"{g.letter.name}({args})" if g.args else g.letter.name
+    if isinstance(g, Neg):
+        inner = reference_pretty(g.body)
+        return f"~{inner}" if isinstance(g.body, (Atom, Neg)) else f"~({inner})"
+    if isinstance(g, (ParAnd, ChoAnd)):
+        op = " /\\ " if isinstance(g, ParAnd) else " !/\\ "
+        return op.join(
+            reference_pretty(p) if isinstance(p, (Atom, Neg)) else f"({reference_pretty(p)})"
+            for p in g.parts
+        )
+    if isinstance(g, (ParOr, ChoOr)):
+        op = " \\/ " if isinstance(g, ParOr) else " !\\/ "
+        return op.join(
+            reference_pretty(p)
+            if isinstance(p, (Atom, Neg, ParAnd, ChoAnd))
+            else f"({reference_pretty(p)})"
+            for p in g.parts
+        )
+    if isinstance(g, Implies):
+        lhs = reference_pretty(g.lhs)
+        if isinstance(g.lhs, (Implies, *_QUANTIFIERS)):
+            lhs = f"({lhs})"
+        return f"{lhs} -> {reference_pretty(g.rhs)}"
+    body = reference_pretty(g.body)
+    if isinstance(g.body, (ParAnd, ParOr, ChoAnd, ChoOr, Implies)):
+        body = f"({body})"
+    return f"{_REFERENCE_SYMBOLS[type(g)]} {g.var}. {body}"

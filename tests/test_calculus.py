@@ -21,10 +21,14 @@ from cl4kit.calculus import (
     to_cl4o,
 )
 from cl4kit.classical import tautology_qf
-from cl4kit.decide import decide_blindfree
+from cl4kit.decide import decide_blindfree, decide_extended
 from cl4kit.syntax import (
+    Atom,
+    BlindAll,
     Const,
+    Neg,
     Var,
+    _unreasonable_letters,
     elem_letter,
     hybrid_letter,
     is_reasonable,
@@ -32,9 +36,15 @@ from cl4kit.syntax import (
     pretty,
     replace_letter,
     resolve,
+    rewrite,
 )
 
-from helpers import random_blindfree, random_qf_elementary
+from helpers import (
+    random_blindfree,
+    random_game_formula,
+    random_qf_elementary,
+    reference_unreasonable_letters,
+)
 
 
 def golden_choice_proof() -> Proof:
@@ -522,3 +532,58 @@ class TestMakeReasonableChains:
         assert len(m.steps) == 2  # the P#a application collapsed, Q#b stayed
         assert m.steps[-1].rule.tag == "Co"
         assert all(is_reasonable(s.formula) for s in m.steps)
+
+
+class TestUnreasonableLetters:
+    """One walk finds the unreasonable hybrid letters that the probe in
+    helpers finds by asking is_reasonable about each letter alone."""
+
+    PROVABLE = [
+        "P \\/ ~P",
+        "P /\\ P -> P",
+        "P -> P !/\\ P",
+        "(P !\\/ Q) /\\ (P !\\/ R) -> P !\\/ (Q /\\ R)",
+        "p !\\/ (Q /\\ R) -> (p !\\/ Q) /\\ (p !\\/ R)",
+        "(!A x. ((P(x) /\\ (!A x. Q(x))) !/\\ ((!A x. P(x)) /\\ Q(x))))"
+        " -> (!A x. P(x)) /\\ (!A x. Q(x))",
+        "(A x. P(x)) -> !A x. P(x)",
+        "((E x. P(x)) !/\\ (E x. Q(x))) -> E x. (P(x) !/\\ Q(x))",
+        "(E x. (P(x) !/\\ Q(x))) -> (E x. P(x)) !/\\ (E x. Q(x))",
+        "(!A x. E y. P(x, y)) -> E y. !A x. P(x, y)",
+        "(E y. !A x. P(x, y)) -> !A x. E y. P(x, y)",
+        "(A x. (P(x) /\\ Q(x))) -> (A x. P(x)) /\\ (A x. Q(x))",
+    ]
+
+    def test_cl4o_proof_steps(self):
+        formulas = [
+            parse("P#a(1) \\/ ~P#a(2) \\/ (Q#b \\/ ~Q#b) \\/ s \\/ ~s"),
+            parse("P#a(1) \\/ ~P#a(2) \\/ (Q#b(1) \\/ ~Q#b(2)) \\/ s \\/ ~s"),
+            parse("(A x. (P#a(x) \\/ ~P#a(x))) /\\ (Q#b(x) -> Q#b(1))"),
+        ]
+        for text in self.PROVABLE:
+            formulas += [s.formula for s in to_cl4o(decide_extended(parse(text)).proof).steps]
+        for f in formulas:
+            assert _unreasonable_letters(f) == reference_unreasonable_letters(f), pretty(f)
+        assert [len(_unreasonable_letters(f)) for f in formulas[:3]] == [1, 2, 1]
+
+    def test_seeded_hybrid_draws(self):
+        """Each draw's hybrid pair as drawn, and with its negative atom on
+        another argument, free or bound."""
+        rng = random.Random(5)
+        found = 0
+        for _ in range(300):
+            f, _ = random_game_formula(rng, with_hybrids=True, with_blind=rng.random() < 0.5)
+            for term in (Const(0), Const(1), Var("x")):
+
+                def moved(node, term=term):
+                    if isinstance(node, Neg) and isinstance(node.body, Atom):
+                        if node.body.letter.kind == "hybrid":
+                            return Neg(Atom(node.body.letter, (term,)))
+                    return None
+
+                g = rewrite(f, moved)
+                for h in (f, g, BlindAll("x", g)):
+                    got = _unreasonable_letters(h)
+                    assert got == reference_unreasonable_letters(h), pretty(h)
+                    found += bool(got)
+        assert found

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cl4kit.classical as classical
 from cl4kit.classical import (
     elementarize,
     fo_validity,
@@ -101,6 +102,19 @@ class TestStability:
 
     def test_excluded_middle_general_form(self):
         assert is_stable(parse("P \\/ ~P")).is_invalid
+
+    def test_elementarization_is_not_checked_again(self, monkeypatch):
+        """An elementarization is elementary by construction: is_stable
+        does not walk it to check, and fo_validity still checks its input."""
+
+        def walked(f):
+            raise AssertionError("is_elementary was called")
+
+        monkeypatch.setattr(classical, "is_elementary", walked)
+        assert is_stable(parse("A x. (p(x) -> p(x))")).is_valid
+        assert is_stable(parse("!E y. !A x. (P(x) -> P(y))")).is_invalid
+        with pytest.raises(AssertionError, match="is_elementary"):
+            fo_validity(parse("p -> p"))
 
 
 class TestUnreasonableStabilityTransfer:

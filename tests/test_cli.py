@@ -33,6 +33,10 @@ class TestDecide:
         code, _, err = run_cli(capsys, "decide", "P ->")
         assert code == 3 and "syntax error" in err
 
+    def test_non_ascii_letter_exit_three(self, capsys):
+        code, _, err = run_cli(capsys, "decide", "P \\/ é")
+        assert code == 3 and "unexpected character 'é' (line 1, column 6)" in err
+
     def test_blind_input_needs_extended(self, capsys):
         code, _, err = run_cli(capsys, "decide", "(A x. P(x)) -> !A x. P(x)")
         assert code == 3
@@ -687,7 +691,7 @@ class TestLoaderFuzz:
 _TEXT_TOKENS = [
     "P", "Q", "p", "q(x)", "P(0)", "T", "F", "x", "A x.", "E y.", "!A x.", "!E y.", "P#q",
     "(", ")", ",", "~", "/\\", "\\/", "->", "!/\\", "!\\/", "¬", "⊓", "⊔", "∀", "#", "²",
-    f"p({_HUGE})",
+    "é", "Ω", "ª", f"p({_HUGE})",
 ]
 _FORMULA_TEXTS = st.one_of(
     st.sampled_from(_FUZZ_FORMULAS + ["P \\/ ~P", "!A x. !E y. (P(x) -> P(y))", "p !\\/ ~p"]),

@@ -1,8 +1,9 @@
-"""The walkers outside ``cl4kit.syntax`` read a node's shape (``children``,
-``signs``, ``surface``, ``bound_var``, ``conjunctive``) instead of testing
-its class, so the rule for each dual pair of operators lives in one place.
-This guards that: the modules below may test a node against ``Atom``, and
-against no other node class."""
+"""The walkers read a node's shape (``children``, ``signs``, ``surface``,
+``bound_var``, ``conjunctive``) and its notation (``spellings``,
+``binding``) instead of testing its class, so the rule for each dual pair
+of operators, and each operator's notation, lives in one place.  This
+guards that: every module of the package may test a node against ``Atom``,
+and against no other node class."""
 
 import ast
 from dataclasses import fields
@@ -13,7 +14,7 @@ import pytest
 import cl4kit.syntax as syntax
 
 PACKAGE = Path(syntax.__file__).resolve().parent
-MODULES = ["classical.py", "kernel.py", "_kernel_py.py", "games.py", "strategy.py"]
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 def _node_kinds(name: str) -> set[str]:
@@ -28,11 +29,33 @@ def _node_kinds(name: str) -> set[str]:
     }
 
 
+def _names(node: ast.expr, aliases: dict[str, list[str]]) -> list[str]:
+    """The names a class expression stands for: a name, an attribute, or a
+    tuple of them (starred parts and the module's own tuples spelled out)."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _names(elt, aliases)]
+    if isinstance(node, ast.Starred):
+        return _names(node.value, aliases)
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, [node.id])
+    return [getattr(node, "attr", "")]
+
+
 def _class_tests(source: str) -> list[str]:
     """Line and node class of every isinstance test against a node class
-    other than Atom."""
+    other than Atom, seeing through tuples bound at module level."""
+    tree = ast.parse(source)
+    aliases: dict[str, list[str]] = {}
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and isinstance(stmt.value, ast.Tuple)
+        ):
+            aliases[stmt.targets[0].id] = _names(stmt.value, aliases)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -40,16 +63,25 @@ def _class_tests(source: str) -> list[str]:
             and len(node.args) == 2
         ):
             continue
-        kinds = node.args[1]
-        for k in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
-            name = k.id if isinstance(k, ast.Name) else getattr(k, "attr", "")
+        for name in _names(node.args[1], aliases):
             found.extend(f"line {node.lineno}: {c}" for c in sorted(_node_kinds(name)))
     return found
 
 
 def test_guard_sees_a_ladder():
-    source = "if isinstance(f, Atom): pass\nelif isinstance(f, (ParAnd, syntax.BlindEx)): pass\n"
-    assert _class_tests(source) == ["line 2: ParAnd", "line 2: BlindEx"]
+    source = (
+        "_KINDS = (ChoAnd, syntax.ChoOr)\n"
+        "if isinstance(f, Atom): pass\n"
+        "elif isinstance(f, (ParAnd, syntax.BlindEx)): pass\n"
+        "elif isinstance(f, (Neg, *_KINDS)): pass\n"
+    )
+    assert _class_tests(source) == [
+        "line 3: ParAnd",
+        "line 3: BlindEx",
+        "line 4: Neg",
+        "line 4: ChoAnd",
+        "line 4: ChoOr",
+    ]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+import cl4kit.games as games
+import cl4kit.strategy as strategy
 from cl4kit.calculus import (
     CL4,
     Proof,
@@ -265,6 +267,38 @@ class TestEnumeration:
         broken = Proof(CL4, [ProofStep(1, parse("P \\/ ~P"), RULE_A, ())])
         with pytest.raises(StrategyError):
             enumerate_plays(broken, interactive_interp(), 2)
+
+    def test_plays_score_from_the_carried_position(self, monkeypatch):
+        """A finished play is scored from the root position carried through
+        it, without replaying its run, and the score is the winner of the
+        run."""
+        proof = reasonable_proof("P /\\ P -> P")
+        interp = interactive_interp()
+
+        def replay(*args):
+            raise AssertionError("the run was replayed to score it")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(games, "winner", replay)
+            patch.setattr(strategy, "winner", replay, raising=False)
+            plays = enumerate_plays(proof, interp, max_env_moves=3)
+        assert plays
+        for _, t in plays:
+            assert t.verdict == "machine-wins"
+            assert games.winner(proof.conclusion, interp, t.final_run) == "T"
+
+    def test_illegal_machine_move_is_a_value_error(self):
+        # an unchecked proof whose B1 step picks a component the cup lacks
+        broken = Proof(
+            CL4,
+            [
+                ProofStep(1, parse("e1 -> e1"), RULE_A, ()),
+                ProofStep(2, parse("e1 -> e1 !\\/ e1"), RuleApplication("B1", addr=(2,), index=3), (1,)),
+            ],
+        )
+        interp = Interpretation(universe=1, elementary={("e1", ()): True})
+        with pytest.raises(ValueError, match="move 1 of the run, .* is illegal"):
+            extract_and_play(broken, interp, [], check=False)
 
 
 class TestPreconditions:

@@ -21,7 +21,9 @@ from cl4kit.syntax import (
     TOP,
     Atom,
     BlindAll,
+    BlindEx,
     ChoAll,
+    ChoAnd,
     ChoEx,
     ChoOr,
     Const,
@@ -56,6 +58,7 @@ from helpers import (
     random_game_formula,
     random_qf_elementary,
     reference_free_variables,
+    reference_pretty,
     reference_surface_occurrences,
     reference_variables,
 )
@@ -121,6 +124,35 @@ class TestParse:
             parse("p \\/\n  ??")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "template, line, column",
+        [("{}", 1, 1), ("p{}", 1, 2), ("P \\/ {}q", 1, 6), ("p({})", 1, 3), ("p /\\\n  {}", 2, 3)],
+        ids=["alone", "after-a-letter", "operand", "argument", "second-line"],
+    )
+    def test_non_ascii_letter_is_a_parse_error(self, template, line, column):
+        # identifiers are ASCII: every other letter is an unexpected character
+        for c in _NON_ASCII_LETTERS:
+            with pytest.raises(ParseError) as exc:
+                parse(template.format(c))
+            assert str(exc.value) == f"unexpected character {c!r} (line {line}, column {column})"
+
+    def test_token_edges(self):
+        # decimal digits of any script are digits; other numerals are not
+        assert parse("p(\u0663)") == parse("p(3)")
+        with pytest.raises(ParseError, match="unexpected character '²' \\(line 1, column 3\\)"):
+            parse("p(²)")
+        # !A and !E run into no letter or digit
+        with pytest.raises(ParseError, match="unexpected character '!'"):
+            parse("!Aé")
+        # ⊓ and ⊔ open a quantifier only when a variable follows
+        assert parse("⊓x p(x)") == parse("!A x. p(x)")
+        assert parse("P ⊔ Q") == parse("P !\\/ Q")
+        with pytest.raises(ParseError, match="expected a formula, found '⊓'"):
+            parse("⊓ P")
+        # A and E are letters unless a variable and a dot follow
+        with pytest.raises(ParseError, match="unexpected trailing input 'x'"):
+            parse("A x p")
+
     def test_variables_are_not_letters(self):
         with pytest.raises(ParseError):
             parse("x \\/ p")
@@ -144,6 +176,9 @@ class TestParse:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse(text)
 
+
+# Every letter outside ASCII below U+3000.
+_NON_ASCII_LETTERS = [chr(cp) for cp in range(0x80, 0x3000) if chr(cp).isalpha()]
 
 # Shapes nested exactly MAX_NESTING levels deep.
 _AT_LIMIT = {
@@ -262,6 +297,34 @@ class TestPrint:
 
     def test_quantifier_rendering(self):
         assert pretty(parse("!A x. !E y. (P(x) -> P(y))")) == "!A x. !E y. (P(x) -> P(y))"
+
+
+def _any_formula(rng: random.Random, depth: int) -> Formula:
+    """Every operator in every operand slot, quantifier bodies included."""
+    if depth == 0 or rng.random() < 0.2:
+        return parse(rng.choice(["p", "P(x)", "q(y, 0)", "T"]))
+    k = rng.randrange(10)
+    if k == 0:
+        return Neg(_any_formula(rng, depth - 1))
+    if k == 1:
+        return Implies(_any_formula(rng, depth - 1), _any_formula(rng, depth - 1))
+    if k < 6:
+        parts = tuple(_any_formula(rng, depth - 1) for _ in range(rng.randint(2, 3)))
+        return (ParAnd, ParOr, ChoAnd, ChoOr)[k - 2](parts)
+    return (BlindAll, BlindEx, ChoAll, ChoEx)[k - 6](rng.choice("xy"), _any_formula(rng, depth - 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pretty_matches_the_reference_printer(seed):
+    """pretty brackets an operand by its binding strength and the slot it
+    fills; the reference printer tests node classes.  The two agree, and
+    parse reads the text back."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        for g in subformulas(_any_formula(rng, 5)):
+            text = pretty(g)
+            assert text == reference_pretty(g)
+            assert parse(text) == g, text
 
 
 @settings(max_examples=200, deadline=None)

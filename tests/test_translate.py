@@ -45,6 +45,13 @@ class TestSignature:
         again = MoleculeSignature.from_json(json.loads(json.dumps(sig.to_json())))
         assert again == sig
 
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_fewer_than_two_rows_is_malformed(self, m):
+        # a molecule is a cap of cups: it needs two rows and two columns
+        doc = dict(signature_for(parse("P(0) -> P(1)")).to_json(), m=m)
+        with pytest.raises(ValueError, match="m must be at least 2"):
+            MoleculeSignature.from_json(doc)
+
 
 class TestLift:
     def test_single_occurrence(self):
