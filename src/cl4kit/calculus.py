@@ -102,12 +102,6 @@ class Proof:
     def conclusion(self) -> Formula:
         return self.steps[-1].formula
 
-    def step(self, step_id: int) -> ProofStep:
-        for s in self.steps:
-            if s.id == step_id:
-                return s
-        raise KeyError(f"no step {step_id}")
-
 
 @dataclass(frozen=True)
 class CheckResult:

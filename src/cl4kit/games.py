@@ -17,7 +17,8 @@ it picks, and a move inside a general or hybrid atom is stored there and
 must keep the stored run legal in that atom's game.  `residual`,
 `is_unilegal`, `winner` and `legal_moves` fold `advance` over the run from
 the game's formula, then read the position reached: the winner off its
-surface, the legal moves off its unmade choices and its atoms' games.
+surface, the legal moves (`legal_moves_at`) off its unmade choices and its
+atoms' games.
 """
 
 from __future__ import annotations
@@ -176,11 +177,15 @@ class Interpretation:
                     raise ValueError(f"bad elementary atom key {key!r}")
                 name, argstr = m.group(1), m.group(2)
                 args = tuple(_read_int(s, "atom key") for s in argstr.split(",")) if argstr else ()
-                elementary[(name, args)] = bool(value)
-            general = {
-                name: GeneralDef(tuple(entry["params"]), parse(entry["body"]))
-                for name, entry in doc.get("general", {}).items()
-            }
+                if type(value) is not bool:
+                    raise ValueError(f"elementary atom {key!r} must be true or false: {value!r}")
+                elementary[(name, args)] = value
+            general = {}
+            for name, entry in doc.get("general", {}).items():
+                params = entry["params"]
+                if not (isinstance(params, list) and all(isinstance(x, str) for x in params)):
+                    raise ValueError(f"general letter {name!r}: params must be a list of strings")
+                general[name] = GeneralDef(tuple(params), parse(entry["body"]))
             universe = doc.get("universe", 1)
         except KeyError as ex:
             raise ValueError(f"malformed interpretation: missing {ex}") from None
@@ -389,11 +394,15 @@ def winner(f: Formula, interp: Interpretation, run: Run) -> str:
 
 
 def legal_moves(f: Formula, interp: Interpretation, run: Run, player: str) -> list[str]:
-    """All single moves the player may legally add after `run`: the choices
-    the player owes on the reached position's surface, and the legal moves
-    inside each general or hybrid quasiatom's game.  Raises ValueError when
-    the run is not unilegal."""
-    state = residual(f, interp, run)
+    """All single moves the player may legally add after `run` in the game
+    f.  Raises ValueError when the run is not unilegal."""
+    return legal_moves_at(residual(f, interp, run), interp, player)
+
+
+def legal_moves_at(state: ResidualState, interp: Interpretation, player: str) -> list[str]:
+    """All single moves the player may legally make at a position: the
+    choices the player owes on its surface, and the legal moves inside each
+    general or hybrid quasiatom's game."""
     stored = state.stored_dict()
     out = []
     for occ in state.formula.surface_occurrences:
@@ -402,8 +411,9 @@ def legal_moves(f: Formula, interp: Interpretation, run: Run, player: str) -> li
         if isinstance(qa, Atom):
             if qa.letter.kind != "elementary":
                 sub = _own_view(stored.get(occ.address, ()), occ.polarity)
-                moves = legal_moves(_expansion(qa, interp), interp, sub, who)
-                out.extend(prefix + m for m in moves)
+                # a stored run is legal in its atom's game
+                at = _fold(_expansion(qa, interp), interp, sub)[0]
+                out.extend(prefix + m for m in legal_moves_at(at, interp, who))
         elif choice_mover(qa, 1) == who:
             picks = range(interp.universe) if qa.bound_var else range(1, len(qa.children) + 1)
             out.extend(prefix + str(n) for n in picks)

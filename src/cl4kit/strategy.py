@@ -13,7 +13,8 @@ forever, at which point the accumulated run is scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 from .calculus import Proof, check_proof, match_a_premise, rule_a_premises
 from .classical import Budget
@@ -29,7 +30,7 @@ from .games import (
     choice_mover,
     hybrid_pairs,
     is_manageable,
-    legal_moves,
+    legal_moves_at,
     parse_move,
     project,
     residual,
@@ -39,7 +40,6 @@ from .syntax import (
     Const,
     Formula,
     Occurrence,
-    Var,
     addr_str,
     apply_valuation,
     general_dehybridization,
@@ -70,7 +70,7 @@ class MachineState:
 class PlayEvent:
     loop: str  # "main" | "inner"
     case: str  # "B1" | "B2" | "Co" | "env-general" | "env-hybrid" |
-    #            "env-choice" | "env-choice-const" | "pass"
+    #            "env-choice" | "env-choice-const" | "env-illegal" | "pass" | "final"
     state: MachineState
     theta_before: Run
     moves: Run  # moves appended during this iteration (env + machine)
@@ -116,15 +116,168 @@ class StrategyError(ValueError):
     pass
 
 
-def _restrict(valuation: dict[str, int], f: Formula) -> None:
-    """Drop the valuation's entries for variables not free in f."""
-    for z in set(valuation) - f.free_variables:
-        del valuation[z]
-
-
 def _hybrid_pair(f: Formula, name: str) -> tuple[Occurrence, Occurrence]:
     """The (positive, negative) occurrences of the hybrid letter name in f."""
     return next((p, n) for p, n in hybrid_pairs(f) if p.quasiatom.letter.name == name)
+
+
+class _Play:
+    """One play of the strategy a proof encodes, from the conclusion: the
+    proof step in play, the valuation record, the quasiatom-play position
+    omega, the run theta and the root game's position after it, the events
+    so far and the loop iterations taken.  A play waiting for the
+    environment can be forked, so a prefix of a script is played once."""
+
+    def __init__(self, proof: Proof, interp: Interpretation, max_steps: int = 1000) -> None:
+        conclusion = proof.conclusion
+        if conclusion.free_variables:
+            raise StrategyError("the played formula must be closed")
+        if not is_blind_free(conclusion):
+            raise StrategyError("certified play requires a blind-free formula")
+        self.root, self.interp, self.max_steps = conclusion, interp, max_steps
+        self.steps = {s.id: s for s in proof.steps}
+        self.step = proof.steps[-1]
+        # never changed in place, so forks share it
+        self.valuation: dict[str, int] = {}
+        self.omega, self.theta, self.events = [], [], []
+        self.iterations = 0
+        # the root game's position after theta; None after an illegal machine move
+        self.position: ResidualState | None = ResidualState(conclusion)
+
+    def fork(self) -> "_Play":
+        other = copy.copy(self)
+        other.omega, other.theta, other.events = self.omega[:], self.theta[:], self.events[:]
+        return other
+
+    def _move(self, *moves: LabMove) -> None:
+        for m in moves:
+            self.theta.append(m)
+            self.position = self.position and advance(self.position, self.interp, m)
+
+    def _climb(self, premise_id: int, chosen: str | None = None, c: int = 0) -> None:
+        """Step up to a premise.  The valuation record keeps exactly the
+        premise's free variables; a new one reads as c if it is the chosen
+        variable, else as 0."""
+        premise, old = self.steps[premise_id], self.valuation
+        self.valuation = {
+            z: old.get(z, c if z == chosen else 0) for z in premise.formula.free_variables
+        }
+        self.step = premise
+
+    def _snapshot(self) -> MachineState:
+        return MachineState(
+            self.step.formula, tuple(self.omega), tuple(sorted(self.valuation.items()))
+        )
+
+    def _finish(self, verdict: str, reason: str = "") -> PlayTranscript:
+        return PlayTranscript(tuple(self.theta), self.events, verdict, reason)
+
+    def end(self) -> PlayTranscript:
+        """Score the play as it stands: the environment passes forever."""
+        self.events.append(PlayEvent("main", "final", self._snapshot(), tuple(self.theta), ()))
+        # residual raises the error naming an illegal machine move
+        position = self.position or residual(self.root, self.interp, tuple(self.theta))
+        return self._finish(MACHINE_WINS if _wins(position, self.interp) else MACHINE_LOSES)
+
+    def play(self, entries: list[str]) -> PlayTranscript | None:
+        """Feed the play environment entries, one per wait: the transcript
+        when the play ends ("pass" ends it), or None when it waits with no
+        entry left."""
+        entries = iter(entries)
+        while True:
+            step, rule = self.step, self.step.rule
+            if rule.tag == "A":
+                entry = next(entries, None)
+                if entry is None:
+                    return None
+            self.iterations += 1
+            if self.iterations > self.max_steps:
+                return self.end()
+            state, before = self._snapshot(), tuple(self.theta)
+
+            if rule.tag in ("B1", "B2"):
+                t = rule.term  # B2 names a term, B1 a component index
+                if t is None:
+                    c = rule.index
+                else:
+                    c = t.value if isinstance(t, Const) else self.valuation.get(t.name, 0)
+                move = LabMove(TOP_PLAYER, f"{addr_str(rule.addr)}{c}")
+                self._move(move)
+                self._climb(step.premises[0])
+                self.events.append(PlayEvent("main", rule.tag, state, before, (move,)))
+                continue
+
+            if rule.tag == "Co":
+                premise = self.steps[step.premises[0]].formula
+                pos, neg = (o.address for o in _hybrid_pair(premise, rule.hybrid))
+                # each occurrence gets the moves made at the other, in order
+                new_moves = [
+                    LabMove(TOP_PLAYER, f"{addr_str(to)}{m.move}")
+                    for to, source in ((pos, neg), (neg, pos))
+                    for m in project(tuple(self.omega), source, "raw")
+                ]
+                self._move(*new_moves)
+                self.omega.extend(new_moves)
+                self._climb(step.premises[0])
+                self.events.append(PlayEvent("main", "Co", state, before, tuple(new_moves)))
+                continue
+
+            if rule.tag != "A":
+                return self._finish(ABORTED, f"step {step.id} has unsupported rule {rule.tag}")
+
+            # Rule A: the environment's entry.
+            if entry == "pass":
+                self.events.append(PlayEvent("inner", "pass", state, before, ()))
+                return self.end()
+            move = LabMove(BOT_PLAYER, entry)
+            after = self.position and advance(self.position, self.interp, move)
+            self.theta.append(move)
+            # the proof's formula has the surface of its grounded form
+            parsed = after and parse_move(step.formula, entry)
+            if parsed is None:
+                self.events.append(PlayEvent("inner", "env-illegal", state, before, (move,)))
+                why = "is illegal" if after is None else "does not resolve"
+                return self._finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} {why}")
+            self.position = after
+            occ, payload = parsed
+            qa = occ.quasiatom
+
+            if isinstance(qa, Atom) and qa.letter.kind == "general":
+                self.omega.append(move)
+                self.events.append(PlayEvent("inner", "env-general", state, before, (move,)))
+                continue
+
+            if isinstance(qa, Atom) and qa.letter.kind == "hybrid":
+                pos, neg = _hybrid_pair(step.formula, qa.letter.name)
+                sigma = neg.address if occ.address == pos.address else pos.address
+                reply = LabMove(TOP_PLAYER, f"{addr_str(sigma)}{payload}")
+                self._move(reply)
+                self.omega += [move, reply]
+                self.events.append(PlayEvent("inner", "env-hybrid", state, before, (move, reply)))
+                continue
+
+            if is_choice(qa):
+                if move.player != choice_mover(qa, occ.polarity):
+                    return self._finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
+                # the required premises for this occurrence, read off the proof's formula
+                required = [
+                    r for r in rule_a_premises(step.formula) if r.occurrence.address == occ.address
+                ]
+                req = required[int(payload) - 1 if qa.bound_var is None else 0]
+                supplied = [self.steps[pid].formula for pid in step.premises]
+                found = match_a_premise(step.formula, req, supplied)
+                if found is None:
+                    self.theta.pop()  # an aborted run stops before the unanswered move
+                    return self._finish(
+                        ABORTED, f"no premise of step {step.id} matches {pretty(req.formula)}"
+                    )
+                k, y = found
+                self._climb(step.premises[k], y, int(payload))
+                case = "env-choice" if y is None else "env-choice-const"
+                self.events.append(PlayEvent("inner", case, state, before, (move,)))
+                continue
+
+            return self._finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} fits no subcase")
 
 
 def extract_and_play(
@@ -133,179 +286,22 @@ def extract_and_play(
     env_moves: list[str],
     max_steps: int = 1000,
     budget: Budget = Budget(),
-    check: bool = True,
 ) -> PlayTranscript:
-    """Play the strategy the proof encodes against a scripted environment.
+    """Check the proof, then play the strategy it encodes against a scripted
+    environment.
 
     env_moves is consumed one entry per wait; "pass" (or running out of
     entries) ends the play, which is then scored by the winner evaluator.
+    The play stops after max_steps loop iterations and is scored there.
     """
-    if check:
-        result = check_proof(proof, budget)
-        if not result:
-            raise StrategyError(
-                f"proof fails at step {result.step_id}: {result.message}"
-            )
-        for s in proof.steps:
-            if not is_reasonable(s.formula):
-                raise StrategyError(f"step {s.id} is not reasonable")
-    conclusion = proof.conclusion
-    if conclusion.free_variables:
-        raise StrategyError("the played formula must be closed")
-    if not is_blind_free(conclusion):
-        raise StrategyError("certified play requires a blind-free formula")
-
-    current = proof.steps[-1]
-    valuation: dict[str, int] = {}
-    omega: list[LabMove] = []
-    theta: list[LabMove] = []
-    events: list[PlayEvent] = []
-    script = list(env_moves)
-    # the root game's position after theta; None after an illegal machine move
-    position: ResidualState | None = ResidualState(conclusion)
-
-    def play(*moves: LabMove) -> None:
-        nonlocal position
-        for m in moves:
-            theta.append(m)
-            position = position and advance(position, interp, m)
-
-    def snapshot() -> MachineState:
-        # the valuation record mirrors exactly the free variables in play
-        assert set(valuation) == current.formula.free_variables
-        return MachineState(current.formula, tuple(omega), tuple(sorted(valuation.items())))
-
-    def record(loop: str, case: str, state: MachineState, before: Run, new: list[LabMove]) -> None:
-        events.append(PlayEvent(loop, case, state, before, tuple(new)))
-
-    def finish(verdict: str, reason: str = "") -> PlayTranscript:
-        return PlayTranscript(tuple(theta), events, verdict, reason)
-
-    steps_taken = 0
-    while True:
-        steps_taken += 1
-        if steps_taken > max_steps:
-            break
-        state = snapshot()
-        theta_before = tuple(theta)
-        tag = current.rule.tag
-
-        if tag == "B1":
-            addr, i = current.rule.addr, current.rule.index
-            move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{i}")
-            play(move)
-            premise = proof.step(current.premises[0])
-            _restrict(valuation, premise.formula)
-            current = premise
-            record("main", "B1", state, theta_before, [move])
-            continue
-
-        if tag == "B2":
-            addr, t = current.rule.addr, current.rule.term
-            c = t.value if isinstance(t, Const) else valuation.get(t.name, 0)
-            move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{c}")
-            play(move)
-            premise = proof.step(current.premises[0])
-            if isinstance(t, Var) and t.name in premise.formula.free_variables:
-                valuation[t.name] = c
-            current = premise
-            record("main", "B2", state, theta_before, [move])
-            continue
-
-        if tag == "Co":
-            premise = proof.step(current.premises[0])
-            pos, neg = _hybrid_pair(premise.formula, current.rule.hybrid)
-            pi, nu = pos.address, neg.address
-            omega_run = tuple(omega)
-            pi_payloads = [m.move for m in project(omega_run, pi, "raw")]
-            nu_payloads = [m.move for m in project(omega_run, nu, "raw")]
-            new_moves = [
-                LabMove(TOP_PLAYER, f"{addr_str(pi)}{payload}") for payload in nu_payloads
-            ] + [
-                LabMove(TOP_PLAYER, f"{addr_str(nu)}{payload}") for payload in pi_payloads
-            ]
-            play(*new_moves)
-            omega.extend(new_moves)
-            current = premise
-            record("main", "Co", state, theta_before, new_moves)
-            continue
-
-        if tag != "A":
-            return finish(ABORTED, f"step {current.id} has unsupported rule {tag}")
-
-        # Rule A: wait for the environment.
-        if not script:
-            break
-        entry = script.pop(0)
-        if entry == "pass":
-            record("inner", "pass", state, theta_before, [])
-            break
-        env_move = LabMove(BOT_PLAYER, entry)
-        after = position and advance(position, interp, env_move)
-        if after is None:
-            theta.append(env_move)
-            record("inner", "env-illegal", state, theta_before, [env_move])
-            return finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} is illegal")
-        # the proof's formula has the surface of its grounded form
-        parsed = parse_move(current.formula, entry)
-        if parsed is None:
-            theta.append(env_move)
-            record("inner", "env-illegal", state, theta_before, [env_move])
-            return finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} does not resolve")
-        position = after
-        occ, payload = parsed
-        qa = occ.quasiatom
-
-        if isinstance(qa, Atom) and qa.letter.kind == "general":
-            theta.append(env_move)
-            omega.append(env_move)
-            record("inner", "env-general", state, theta_before, [env_move])
-            continue
-
-        if isinstance(qa, Atom) and qa.letter.kind == "hybrid":
-            pos, neg = _hybrid_pair(current.formula, qa.letter.name)
-            sigma = neg.address if occ.address == pos.address else pos.address
-            reply = LabMove(TOP_PLAYER, f"{addr_str(sigma)}{payload}")
-            theta.append(env_move)
-            play(reply)
-            omega.append(env_move)
-            omega.append(reply)
-            record("inner", "env-hybrid", state, theta_before, [env_move, reply])
-            continue
-
-        if is_choice(qa):
-            if env_move.player != choice_mover(qa, occ.polarity):
-                theta.append(env_move)
-                return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
-            # the required premises for this occurrence, read off the proof's formula
-            required = [
-                r for r in rule_a_premises(current.formula) if r.occurrence.address == occ.address
-            ]
-            req = required[int(payload) - 1 if qa.bound_var is None else 0]
-            premises = [proof.step(pid) for pid in current.premises]
-            found = match_a_premise(current.formula, req, [p.formula for p in premises])
-            if found is None:
-                return finish(
-                    ABORTED, f"no premise of step {current.id} matches {pretty(req.formula)}"
-                )
-            premise, y = premises[found[0]], found[1]
-            theta.append(env_move)
-            if y is None:
-                _restrict(valuation, premise.formula)
-            elif y in premise.formula.free_variables:
-                valuation[y] = int(payload)
-            current = premise
-            case = "env-choice" if y is None else "env-choice-const"
-            record("inner", case, state, theta_before, [env_move])
-            continue
-
-        theta.append(env_move)
-        return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} fits no subcase")
-
-    record("main", "final", snapshot(), tuple(theta), [])
-    # residual raises the error naming an illegal machine move
-    won = _wins(position or residual(conclusion, interp, tuple(theta)), interp)
-    return finish(MACHINE_WINS if won else MACHINE_LOSES)
+    result = check_proof(proof, budget)
+    if not result:
+        raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
+    for s in proof.steps:
+        if not is_reasonable(s.formula):
+            raise StrategyError(f"step {s.id} is not reasonable")
+    play = _Play(proof, interp, max_steps)
+    return play.play(env_moves) or play.end()
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +369,27 @@ def enumerate_plays(
     budget: Budget = Budget(),
 ) -> list[tuple[list[str], PlayTranscript]]:
     """Play every legal environment script of at most max_env_moves moves
-    (each script implicitly ends with a pass).  The proof is checked once.
+    (each script implicitly ends with a pass), depth first.  The proof is
+    checked once.
 
-    Scripts are grown move by move: after replaying a prefix, every legal
-    environment continuation at the reached position branches."""
+    The play waiting after a script is forked: one fork passes, and one per
+    legal environment move at its carried position plays that move, so no
+    prefix is played twice.  A play that ended without reading its script
+    (it ran out of loop iterations) ends so, in a copy, for every extension."""
     result = check_proof(proof, budget)
     if not result:
         raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
-    root = proof.conclusion
     out: list[tuple[list[str], PlayTranscript]] = []
 
-    def explore(prefix: list[str]) -> None:
-        transcript = extract_and_play(
-            proof, interp, prefix + ["pass"], check=False, budget=budget
-        )
-        out.append((prefix + ["pass"], transcript))
-        if len(prefix) >= max_env_moves:
+    def explore(play: _Play, script: list[str], ended: PlayTranscript | None) -> None:
+        transcript = replace(ended, events=ended.events[:]) if ended else play.fork().play(["pass"])
+        out.append((script + ["pass"], transcript))
+        if len(script) >= max_env_moves or transcript.verdict in (ENVIRONMENT_ILLEGAL, ABORTED):
             return
-        if transcript.verdict in (ENVIRONMENT_ILLEGAL, ABORTED):
-            return
-        for move in legal_moves(root, interp, transcript.final_run, BOT_PLAYER):
-            explore(prefix + [move])
+        for move in legal_moves_at(play.position, interp, BOT_PLAYER):
+            child = play if ended else play.fork()
+            explore(child, script + [move], ended or child.play([move]))
 
-    explore([])
+    start = _Play(proof, interp)
+    explore(start, [], start.play([]))
     return out

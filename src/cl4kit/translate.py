@@ -84,6 +84,12 @@ class MoleculeSignature:
             raise ValueError("malformed molecule signature: m and arities must be integers")
         if m < 2:
             raise ValueError("malformed molecule signature: m must be at least 2")
+        # the first gap in (a, b) order lies within the first len(names) + 1 entries
+        for p in arities:
+            for a in range(1, m + 1):
+                for b in range(1, m + 1):
+                    if (p, a, b) not in names:
+                        raise ValueError(f"malformed molecule signature: no name for {p} {a},{b}")
         return cls(m, names, arities)
 
 

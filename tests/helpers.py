@@ -450,3 +450,228 @@ def reference_pretty(g: Formula) -> str:
     if isinstance(g.body, (ParAnd, ParOr, ChoAnd, ChoOr, Implies)):
         body = f"({body})"
     return f"{_REFERENCE_SYMBOLS[type(g)]} {g.var}. {body}"
+
+
+# ---------------------------------------------------------------------------
+# Reference strategy engine: the loop over closures that played each script
+# from the empty run, and the enumeration that replayed every prefix and
+# folded the root game again for the environment's moves
+# ---------------------------------------------------------------------------
+
+
+def _reference_step(proof, step_id: int):
+    for s in proof.steps:
+        if s.id == step_id:
+            return s
+    raise KeyError(f"no step {step_id}")
+
+
+def _reference_restrict(valuation: dict[str, int], f: Formula) -> None:
+    for z in set(valuation) - f.free_variables:
+        del valuation[z]
+
+
+def reference_extract_and_play(
+    proof, interp: Interpretation, env_moves: list[str], max_steps: int = 1000, check: bool = True
+):
+    from cl4kit.calculus import check_proof, match_a_premise, rule_a_premises
+    from cl4kit.games import ResidualState, _wins, advance, parse_move, project, residual
+    from cl4kit.strategy import (
+        ABORTED,
+        ENVIRONMENT_ILLEGAL,
+        MACHINE_LOSES,
+        MACHINE_WINS,
+        MachineState,
+        PlayEvent,
+        PlayTranscript,
+        StrategyError,
+        _hybrid_pair,
+    )
+    from cl4kit.syntax import addr_str, is_blind_free, is_choice, pretty
+
+    if check:
+        result = check_proof(proof)
+        if not result:
+            raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
+        for s in proof.steps:
+            if not is_reasonable(s.formula):
+                raise StrategyError(f"step {s.id} is not reasonable")
+    conclusion = proof.conclusion
+    if conclusion.free_variables:
+        raise StrategyError("the played formula must be closed")
+    if not is_blind_free(conclusion):
+        raise StrategyError("certified play requires a blind-free formula")
+
+    current = proof.steps[-1]
+    valuation: dict[str, int] = {}
+    omega: list[LabMove] = []
+    theta: list[LabMove] = []
+    events: list = []
+    script = list(env_moves)
+    position = ResidualState(conclusion)
+
+    def play(*moves: LabMove) -> None:
+        nonlocal position
+        for m in moves:
+            theta.append(m)
+            position = position and advance(position, interp, m)
+
+    def snapshot():
+        assert set(valuation) == current.formula.free_variables
+        return MachineState(current.formula, tuple(omega), tuple(sorted(valuation.items())))
+
+    def record(loop, case, state, before, new) -> None:
+        events.append(PlayEvent(loop, case, state, before, tuple(new)))
+
+    def finish(verdict: str, reason: str = ""):
+        return PlayTranscript(tuple(theta), events, verdict, reason)
+
+    steps_taken = 0
+    while True:
+        steps_taken += 1
+        if steps_taken > max_steps:
+            break
+        state = snapshot()
+        theta_before = tuple(theta)
+        tag = current.rule.tag
+
+        if tag == "B1":
+            addr, i = current.rule.addr, current.rule.index
+            move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{i}")
+            play(move)
+            premise = _reference_step(proof, current.premises[0])
+            _reference_restrict(valuation, premise.formula)
+            current = premise
+            record("main", "B1", state, theta_before, [move])
+            continue
+
+        if tag == "B2":
+            addr, t = current.rule.addr, current.rule.term
+            c = t.value if isinstance(t, Const) else valuation.get(t.name, 0)
+            move = LabMove(TOP_PLAYER, f"{addr_str(addr)}{c}")
+            play(move)
+            premise = _reference_step(proof, current.premises[0])
+            if isinstance(t, Var) and t.name in premise.formula.free_variables:
+                valuation[t.name] = c
+            current = premise
+            record("main", "B2", state, theta_before, [move])
+            continue
+
+        if tag == "Co":
+            premise = _reference_step(proof, current.premises[0])
+            pos, neg = _hybrid_pair(premise.formula, current.rule.hybrid)
+            pi, nu = pos.address, neg.address
+            omega_run = tuple(omega)
+            pi_payloads = [m.move for m in project(omega_run, pi, "raw")]
+            nu_payloads = [m.move for m in project(omega_run, nu, "raw")]
+            new_moves = [
+                LabMove(TOP_PLAYER, f"{addr_str(pi)}{payload}") for payload in nu_payloads
+            ] + [
+                LabMove(TOP_PLAYER, f"{addr_str(nu)}{payload}") for payload in pi_payloads
+            ]
+            play(*new_moves)
+            omega.extend(new_moves)
+            current = premise
+            record("main", "Co", state, theta_before, new_moves)
+            continue
+
+        if tag != "A":
+            return finish(ABORTED, f"step {current.id} has unsupported rule {tag}")
+
+        if not script:
+            break
+        entry = script.pop(0)
+        if entry == "pass":
+            record("inner", "pass", state, theta_before, [])
+            break
+        env_move = LabMove(BOT_PLAYER, entry)
+        after = position and advance(position, interp, env_move)
+        if after is None:
+            theta.append(env_move)
+            record("inner", "env-illegal", state, theta_before, [env_move])
+            return finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} is illegal")
+        parsed = parse_move(current.formula, entry)
+        if parsed is None:
+            theta.append(env_move)
+            record("inner", "env-illegal", state, theta_before, [env_move])
+            return finish(ENVIRONMENT_ILLEGAL, f"environment move {entry!r} does not resolve")
+        position = after
+        occ, payload = parsed
+        qa = occ.quasiatom
+
+        if isinstance(qa, Atom) and qa.letter.kind == "general":
+            theta.append(env_move)
+            omega.append(env_move)
+            record("inner", "env-general", state, theta_before, [env_move])
+            continue
+
+        if isinstance(qa, Atom) and qa.letter.kind == "hybrid":
+            pos, neg = _hybrid_pair(current.formula, qa.letter.name)
+            sigma = neg.address if occ.address == pos.address else pos.address
+            reply = LabMove(TOP_PLAYER, f"{addr_str(sigma)}{payload}")
+            theta.append(env_move)
+            play(reply)
+            omega.append(env_move)
+            omega.append(reply)
+            record("inner", "env-hybrid", state, theta_before, [env_move, reply])
+            continue
+
+        if is_choice(qa):
+            if env_move.player != choice_mover(qa, occ.polarity):
+                theta.append(env_move)
+                return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
+            required = [
+                r for r in rule_a_premises(current.formula) if r.occurrence.address == occ.address
+            ]
+            req = required[int(payload) - 1 if qa.bound_var is None else 0]
+            premises = [_reference_step(proof, pid) for pid in current.premises]
+            found = match_a_premise(current.formula, req, [p.formula for p in premises])
+            if found is None:
+                return finish(
+                    ABORTED, f"no premise of step {current.id} matches {pretty(req.formula)}"
+                )
+            premise, y = premises[found[0]], found[1]
+            theta.append(env_move)
+            if y is None:
+                _reference_restrict(valuation, premise.formula)
+            elif y in premise.formula.free_variables:
+                valuation[y] = int(payload)
+            current = premise
+            case = "env-choice" if y is None else "env-choice-const"
+            record("inner", case, state, theta_before, [env_move])
+            continue
+
+        theta.append(env_move)
+        return finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} fits no subcase")
+
+    record("main", "final", snapshot(), tuple(theta), [])
+    won = _wins(position or residual(conclusion, interp, tuple(theta)), interp)
+    return finish(MACHINE_WINS if won else MACHINE_LOSES)
+
+
+def reference_enumerate_plays(
+    proof, interp: Interpretation, max_env_moves: int, max_steps: int = 1000
+) -> list:
+    from cl4kit.calculus import check_proof
+    from cl4kit.strategy import ABORTED, ENVIRONMENT_ILLEGAL, StrategyError
+
+    result = check_proof(proof)
+    if not result:
+        raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
+    root = proof.conclusion
+    out: list = []
+
+    def explore(prefix: list[str]) -> None:
+        transcript = reference_extract_and_play(
+            proof, interp, prefix + ["pass"], max_steps, check=False
+        )
+        out.append((prefix + ["pass"], transcript))
+        if len(prefix) >= max_env_moves:
+            return
+        if transcript.verdict in (ENVIRONMENT_ILLEGAL, ABORTED):
+            return
+        for move in legal_moves(root, interp, transcript.final_run, BOT_PLAYER):
+            explore(prefix + [move])
+
+    explore([])
+    return out

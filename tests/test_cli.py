@@ -121,6 +121,56 @@ class TestMalformedInput:
         assert code == 3
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, document, message",
+        [
+            (
+                ["eval-run", "--formula", "p", "--interp", "{doc}"],
+                {"elementary": {"p": "false"}},
+                "elementary atom 'p' must be true or false: 'false'",
+            ),
+            (
+                ["eval-run", "--formula", "p", "--interp", "{doc}"],
+                {"elementary": {"p": 0}},
+                "elementary atom 'p' must be true or false: 0",
+            ),
+            (
+                ["eval-run", "--formula", "P", "--interp", "{doc}"],
+                {"general": {"P": {"params": "xy", "body": "p(x, y)"}}},
+                "general letter 'P': params must be a list of strings",
+            ),
+            (
+                ["eval-run", "--formula", "P", "--interp", "{doc}"],
+                {"general": {"P": {"params": [1], "body": "p"}}},
+                "general letter 'P': params must be a list of strings",
+            ),
+            (
+                ["translate", "floor", "p_1_1 !\\/ p_1_2", "--signature", "{doc}"],
+                {
+                    "m": 2,
+                    "letters": {
+                        "P": {"arity": 0, "names": {"1,1": "p_1_1", "2,1": "p_2_1", "2,2": "p_2_2"}}
+                    },
+                },
+                "malformed molecule signature: no name for P 1,2",
+            ),
+            (
+                ["translate", "floor", "a", "--signature", "{doc}"],
+                {"m": 10**9, "letters": {"P": {"arity": 0, "names": {"1,1": "a"}}}},
+                "malformed molecule signature: no name for P 1,2",
+            ),
+        ],
+        ids=[
+            "interp-string-truth", "interp-number-truth", "interp-params-string",
+            "interp-params-number", "signature-missing-name", "signature-huge-m",
+        ],
+    )
+    def test_rejected_document_is_named(self, capsys, tmp_path, argv, document, message):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, *(a.replace("{doc}", str(doc_path)) for a in argv))
+        assert (code, err.strip()) == (3, f"error: {message}")
+
     # every JSON document the CLI reads, each holding an integer past int()'s
     # digit limit; {doc} is the document's path, {huge} the integer
     @pytest.mark.parametrize(

@@ -1,5 +1,11 @@
 
+import importlib.util
+import json
+import random
+import sys
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +39,16 @@ from cl4kit.strategy import (
     enumerate_plays,
     extract_and_play,
 )
-from cl4kit.syntax import Atom, ChoOr, Var, elem_letter, general_dehybridization, parse
+from cl4kit.syntax import (
+    Atom,
+    ChoOr,
+    Var,
+    elem_letter,
+    free_variables,
+    general_dehybridization,
+    parse,
+)
+from helpers import random_blindfree, reference_enumerate_plays, reference_extract_and_play
 
 
 def reasonable_proof(text: str):
@@ -124,8 +139,8 @@ class TestBasicPlays:
             ],
         )
         interp = Interpretation(universe=1, elementary={("e1", ()): True})
-        t = extract_and_play(broken, interp, ["2.1"], check=False)
-        assert t.verdict == "aborted"
+        play = strategy._Play(broken, interp)
+        assert play.play(["2.1"]).verdict == "aborted"
 
 
 class TestClaim1:
@@ -297,8 +312,138 @@ class TestEnumeration:
             ],
         )
         interp = Interpretation(universe=1, elementary={("e1", ()): True})
+        play = strategy._Play(broken, interp)
+        assert play.play([]) is None  # waiting at step 1
         with pytest.raises(ValueError, match="move 1 of the run, .* is illegal"):
-            extract_and_play(broken, interp, [], check=False)
+            play.end()
+
+
+@cache
+def _prove_play_cases() -> list:
+    """The benchmark's prove-play clauses, each proved, made reasonable and
+    paired with its three interpretations (perfbench/workloads.py), the
+    exercise table's letter names kept."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(perfbench))  # for its qfeval
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(perfbench))
+    names = {c: c for c in "PQRp"}
+    cases = []
+    for clause in sum(workloads.PLAY_ITEMS, ()):
+        f = parse(workloads.EXERCISES[clause][0])
+        proof = reasonable_proof(workloads.EXERCISES[clause][0])
+        cases += [(clause, proof, interp) for interp in workloads._interpretations(f, names)]
+    return cases
+
+
+@cache
+def _random_cases() -> list:
+    """Closed provable random_blindfree draws, made reasonable, under the
+    interactive interpretation."""
+    rng = random.Random(909)
+    cases = []
+    while len(cases) < 30:
+        f = random_blindfree(rng, depth=2, n_general=3)
+        if free_variables(f):
+            continue
+        d = decide_blindfree(f)
+        if d.is_provable:
+            cases.append((f, make_reasonable(to_cl4o(d.proof)), interactive_interp()))
+    return cases
+
+
+def _assert_same_play(got, expected, proof, interp, where) -> None:
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json()), where
+    assert got.events == expected.events, where
+    assert assert_claim1(got, proof, interp) == assert_claim1(expected, proof, interp), where
+
+
+class TestPlayEngine:
+    """The forkable play against the reference engine that played every
+    script from the empty run (tests/helpers.py): the same scripts in the
+    same order, byte-identical transcripts, equal Claim 1 results."""
+
+    @pytest.mark.parametrize("which", ["prove-play", "random"])
+    def test_enumeration_matches_the_reference(self, which):
+        cases = _prove_play_cases() if which == "prove-play" else _random_cases()
+        max_env_moves = 4 if which == "prove-play" else 3
+        total = 0
+        for label, proof, interp in cases:
+            got = enumerate_plays(proof, interp, max_env_moves)
+            expected = reference_enumerate_plays(proof, interp, max_env_moves)
+            assert [s for s, _ in got] == [s for s, _ in expected], label
+            for (script, t), (_, r) in zip(got, expected):
+                _assert_same_play(t, r, proof, interp, (label, script))
+            total += len(got)
+        assert total >= (600 if which == "prove-play" else 100)
+
+    @pytest.mark.parametrize("max_steps", [3, 7, 1000])
+    def test_script_prefixes_match_the_reference(self, max_steps):
+        # every prefix of an enumerated script, run out or passing
+        for clause, proof, interp in _prove_play_cases():
+            scripts = reference_enumerate_plays(proof, interp, 2)
+            for script in sorted({tuple(s[:k]) for s, _ in scripts for k in range(len(s) + 1)}):
+                expected = reference_extract_and_play(proof, interp, list(script), max_steps)
+                got = extract_and_play(proof, interp, list(script), max_steps)
+                _assert_same_play(got, expected, proof, interp, (clause, script))
+
+    def test_plays_cut_short_end_alike_for_every_extension(self, monkeypatch):
+        # a play out of loop iterations reads no more of its script, yet its
+        # extensions are enumerated, each ending as it did
+        proof = reasonable_proof("P /\\ P -> P")
+        interp = interactive_interp()
+        for max_steps in (1, 2, 4):
+            expected = reference_enumerate_plays(proof, interp, 3, max_steps)
+            with monkeypatch.context() as patch:
+                patch.setattr(strategy._Play.__init__, "__defaults__", (max_steps,))
+                got = enumerate_plays(proof, interp, max_env_moves=3)
+            assert [s for s, _ in got] == [s for s, _ in expected]
+            for (script, t), (_, r) in zip(got, expected):
+                _assert_same_play(t, r, proof, interp, (max_steps, script))
+            unread = [s for s, t in got if len(s) - 1 > sum(m.player == "B" for m in t.final_run)]
+            assert bool(unread) == (max_steps < 4)
+            # every script has a transcript of its own, not one shared
+            assert len({id(t.events) for _, t in got}) == len(got)
+
+    def test_enumeration_forks_and_never_replays(self, monkeypatch):
+        """Each prefix is played once: enumeration neither plays a script
+        from the empty run nor folds the root game again to list the
+        environment's moves."""
+        proof = reasonable_proof("P /\\ P -> P")
+        interp = interactive_interp()
+        expected = reference_enumerate_plays(proof, interp, 3)
+
+        def replay(*args, **kwargs):
+            raise AssertionError("a prefix was played again")
+
+        with monkeypatch.context() as patch:
+            for module, name in (
+                (strategy, "extract_and_play"),
+                (strategy, "residual"),
+                (strategy, "legal_moves"),
+                (games, "residual"),
+                (games, "legal_moves"),
+            ):
+                patch.setattr(module, name, replay, raising=False)
+            got = enumerate_plays(proof, interp, max_env_moves=3)
+        assert [s for s, _ in got] == [s for s, _ in expected]
+        for (script, t), (_, r) in zip(got, expected):
+            _assert_same_play(t, r, proof, interp, script)
+
+    def test_a_fork_leaves_its_parent_waiting(self):
+        proof = reasonable_proof("P -> P")
+        interp = interactive_interp()
+        play = strategy._Play(proof, interp)
+        assert play.play([]) is None
+        left = play.fork()
+        assert left.play(["1.1"]) is None
+        assert play.fork().play(["1.2", "pass"]).final_run == run_of(("B", "1.2"), ("T", "2.2"))
+        assert left.end().final_run == run_of(("B", "1.1"), ("T", "2.1"))
+        assert play.end().final_run == ()
 
 
 class TestPreconditions:
@@ -331,20 +476,13 @@ class TestRandomizedSoundness:
     keeps the loop invariants."""
 
     def test_generated_provable_formulas_win_everywhere(self):
-        import random as _random
-
-        from cl4kit.decide import decide_blindfree
-        from helpers import random_blindfree
-
-        rng = _random.Random(909)
+        rng = random.Random(909)
         interp = interactive_interp()
         played = 0
         attempts = 0
         while played < 30 and attempts < 3000:
             attempts += 1
             f = random_blindfree(rng, depth=2, n_general=3)
-            from cl4kit.syntax import free_variables
-
             if free_variables(f):
                 continue
             d = decide_blindfree(f)
@@ -374,6 +512,30 @@ class TestVacuousQuantifier:
         interp = Interpretation(universe=2, elementary={("e1", ()): True})
         t = extract_and_play(proof, interp, ["1", "pass"])
         assert t.verdict == "machine-wins"
+        assert assert_claim1(t, proof, interp).ok
+
+
+    def test_vacuous_choice_keeps_the_value_of_its_variable_free_elsewhere(self):
+        # B2 instantiates z to x, free from then on and valued 0 by the
+        # machine's move 1.0; the environment's 2.1 picks x = 1 in a vacuous
+        # quantifier on x, and must not revalue the free x
+        proof = Proof(
+            "CL4o",
+            [
+                ProofStep(1, parse("(p(x) -> p(x)) /\\ (q -> q)"), RULE_A, ()),
+                ProofStep(2, parse("(p(x) -> p(x)) /\\ !A x. (q -> q)"), RULE_A, (1,)),
+                ProofStep(
+                    3,
+                    parse("(!E z. (p(z) -> p(z))) /\\ !A x. (q -> q)"),
+                    RuleApplication("B2", addr=(1,), term=Var("x")),
+                    (2,),
+                ),
+            ],
+        )
+        interp = Interpretation(universe=2, elementary={("p", (0,)): True})
+        t = extract_and_play(proof, interp, ["2.1", "pass"])
+        assert t.final_run == run_of(("T", "1.0"), ("B", "2.1"))
+        assert [dict(e.state.valuation) for e in t.events] == [{}, {"x": 0}, {"x": 0}, {"x": 0}]
         assert assert_claim1(t, proof, interp).ok
 
 
