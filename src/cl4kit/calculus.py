@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Iterator
 
 from .classical import Budget, is_stable
 from .games import BOT_PLAYER, TOP_PLAYER, choice_mover, read_json
@@ -179,42 +180,30 @@ def c_pairs(e: Formula) -> list[tuple[Occurrence, Occurrence]]:
 @dataclass(frozen=True)
 class APremise:
     """One required premise of Rule A: the occurrence it resolves, the
-    choice made (component index or the fresh variable), and the result."""
+    component it picks (None for a quantifier's fresh variable), the result."""
 
     occurrence: Occurrence
-    kind: str  # "component" | "variable"
     index: int | None
-    var: str | None
     formula: Formula
 
 
-def rule_a_premises(e: Formula) -> list[APremise]:
-    used_vars = e.variables
-    out: list[APremise] = []
+def rule_a_premises(e: Formula) -> Iterator[APremise]:
+    """The required Rule A premises of e in occurrence order, components in
+    order, each built when it is read."""
     for occ in rule_a_targets(e):
         qa = occ.quasiatom
         if qa.bound_var is None:
             for i, comp in enumerate(qa.parts, start=1):
-                out.append(
-                    APremise(occ, "component", i, None, replace_at(e, occ.address, comp))
-                )
+                yield APremise(occ, i, replace_at(e, occ.address, comp))
         else:
-            y = fresh_variable(used_vars)
-            body = substitute(qa.body, qa.var, Var(y))
-            out.append(APremise(occ, "variable", None, y, replace_at(e, occ.address, body)))
-    return out
+            body = substitute(qa.body, qa.var, Var(fresh_variable(e.variables)))
+            yield APremise(occ, None, replace_at(e, occ.address, body))
 
 
 def premises_A(e: Formula) -> list[Formula]:
     """The required Rule A premise set for e, deduplicated, in occurrence
     order, with the deterministic fresh variable for quantifier targets."""
-    seen = set()
-    out = []
-    for p in rule_a_premises(e):
-        if p.formula not in seen:
-            seen.add(p.formula)
-            out.append(p.formula)
-    return out
+    return list(dict.fromkeys(p.formula for p in rule_a_premises(e)))
 
 
 def match_a_premise(
@@ -225,7 +214,7 @@ def match_a_premise(
     (None for a component premise).  A quantifier premise is e with the body
     on any variable fresh for e, tried in sorted order, or on the bound
     variable itself when the quantifier is vacuous."""
-    if req.kind == "component":
+    if req.index is not None:
         return next(((k, None) for k, h in enumerate(supplied) if h == req.formula), None)
     qa, addr = req.occurrence.quasiatom, req.occurrence.address
     e_vars = e.variables

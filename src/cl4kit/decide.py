@@ -4,9 +4,12 @@ budgeted best-effort extension to formulas containing A/E.
 The search recurses on aggregate complexity.  At each formula one loop runs
 over the rule applications in the fixed order A, B1, B2, C (occurrences
 left to right, then components, terms or letter pairs) and stops at the
-first whose premises are all provable.  Targets, premises and the stability
-test come from ``cl4kit.calculus``, the same code the proof checker runs,
-so positive answers come with a proof that ``check_proof`` accepts.
+first whose premises are all provable, and tries an application's premises
+in order until one fails.  Targets, premises and the stability test come
+from ``cl4kit.calculus``, the same code the proof checker runs, so positive
+answers come with a proof that ``check_proof`` accepts.  The search builds
+Rule A premises as it reads them, so none past the first failing one is
+built.
 
 In certified mode (blind-free input) stability is decided exactly, so the
 answer is never Unknown; the extension marks any branch whose stability
@@ -28,7 +31,7 @@ occurrences).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .calculus import (
     CL4,
@@ -133,11 +136,13 @@ def _b2_candidates(f: Formula) -> list[Term]:
     return out
 
 
-def _applications(f: Formula, search: _Search) -> Iterator[tuple[RuleApplication, list[Formula]]]:
+def _applications(
+    f: Formula, search: _Search
+) -> Iterator[tuple[RuleApplication, Iterable[Formula]]]:
     """The rule applications the search tries on f, in order, each with its
-    premises; built lazily, so a success skips the rest."""
+    premises; all built when read, none past a success or a failed premise."""
     if _stable(f, search):
-        yield RULE_A, [req.formula for req in rule_a_premises(f)]
+        yield RULE_A, (req.formula for req in rule_a_premises(f))
     for occ in b1_targets(f):
         for i in range(1, len(occ.quasiatom.parts) + 1):
             rule = RuleApplication("B1", addr=occ.address, index=i)

@@ -259,11 +259,10 @@ class _Play:
             if is_choice(qa):
                 if move.player != choice_mover(qa, occ.polarity):
                     return self._finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} at a machine choice")
-                # the required premises for this occurrence, read off the proof's formula
-                required = [
-                    r for r in rule_a_premises(step.formula) if r.occurrence.address == occ.address
-                ]
-                req = required[int(payload) - 1 if qa.bound_var is None else 0]
+                # the required premise for this choice, read off the proof's formula
+                chosen = (occ.address, None if qa.bound_var is not None else int(payload))
+                required = rule_a_premises(step.formula)
+                req = next(r for r in required if (r.occurrence.address, r.index) == chosen)
                 supplied = [self.steps[pid].formula for pid in step.premises]
                 found = match_a_premise(step.formula, req, supplied)
                 if found is None:

@@ -502,9 +502,13 @@ def rewrite(f: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    for child in f.children:
-        yield from subformulas(child)
+    """Every subformula occurrence of f, in pre-order, walked with an
+    explicit stack so that no depth exhausts Python's."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(g.children))
 
 
 def atoms(f: Formula) -> Iterator[Atom]:
@@ -603,9 +607,10 @@ def aggregate_complexity(f: Formula) -> int:
     An n-ary connective node counts as n-1 operator occurrences, matching
     the count in the written chain.
     """
-    if isinstance(f, Atom):
-        return 1 if f.letter.kind == GENERAL else 0
-    return max(1, len(f.children) - 1) + sum(map(aggregate_complexity, f.children))
+    return sum(
+        (g.letter.kind == GENERAL) if isinstance(g, Atom) else max(1, len(g.children) - 1)
+        for g in subformulas(f)
+    )
 
 
 def general_dehybridization(f: Formula) -> Formula:

@@ -10,6 +10,7 @@ medium, and isolated small molecules back into the general atom.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -23,6 +24,7 @@ from .syntax import (
     gen_letter,
     is_choice,
     is_formula,
+    is_variable_name,
     letter_names,
     rewrite,
     subformulas,
@@ -64,7 +66,8 @@ class MoleculeSignature:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MoleculeSignature":
-        """Raises ValueError on a malformed document."""
+        """Raises ValueError on a malformed document, naming the letter and
+        the key at fault."""
         if not isinstance(doc, dict):
             raise ValueError("a molecule signature must be a JSON object")
         try:
@@ -73,6 +76,11 @@ class MoleculeSignature:
             for p, entry in doc["letters"].items():
                 arities[p] = entry["arity"]
                 for key, name in entry["names"].items():
+                    if not re.fullmatch(r"[1-9][0-9]*,[1-9][0-9]*", key):
+                        raise ValueError(
+                            f"malformed molecule signature: key {key!r} of {p} "
+                            "must be two positive integers a,b"
+                        )
                     a, b = (_read_int(n, "signature key") for n in key.split(","))
                     names[(p, a, b)] = name
             m = doc["m"]
@@ -80,10 +88,30 @@ class MoleculeSignature:
             raise ValueError(f"malformed molecule signature: missing {ex}") from None
         except (AttributeError, TypeError) as ex:
             raise ValueError(f"malformed molecule signature: {ex}") from None
-        if not all(type(n) is int for n in (m, *arities.values())):
-            raise ValueError("malformed molecule signature: m and arities must be integers")
+        if type(m) is not int:
+            raise ValueError("malformed molecule signature: m must be an integer")
         if m < 2:
             raise ValueError("malformed molecule signature: m must be at least 2")
+        for p, arity in arities.items():
+            if type(arity) is not int or arity < 0:
+                raise ValueError(
+                    f"malformed molecule signature: arity of {p} must be a non-negative "
+                    f"integer, not {arity!r}"
+                )
+        owners: dict[str, str] = {}
+        for (p, a, b), name in names.items():
+            where = f"{p} {a},{b}"
+            elementary = isinstance(name, str) and re.fullmatch(r"[a-z][A-Za-z0-9_]*", name)
+            if not elementary or is_variable_name(name):
+                raise ValueError(
+                    f"malformed molecule signature: name for {where} must be an elementary "
+                    f"letter, not {name!r}"
+                )
+            if name in owners:
+                raise ValueError(
+                    f"malformed molecule signature: {owners[name]} and {where} share the name {name}"
+                )
+            owners[name] = where
         # the first gap in (a, b) order lies within the first len(names) + 1 entries
         for p in arities:
             for a in range(1, m + 1):

@@ -128,7 +128,7 @@ class TestMatchAPremise:
 
     def test_component(self):
         e = parse("p !/\\ q")
-        req = rule_a_premises(e)[1]
+        req = list(rule_a_premises(e))[1]
         assert match_a_premise(e, req, [parse("q"), parse("p")]) == (0, None)
         assert match_a_premise(e, req, [parse("p")]) is None
 

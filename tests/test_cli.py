@@ -14,6 +14,16 @@ from cl4kit.syntax import parse, pretty
 from cl4kit.translate import lift, signature_for
 
 
+def _signature(edits=(), arity=0):
+    """A molecule signature document for P with m = 2, its names edited:
+    each (key, name) of edits sets the key's name, or drops the key when
+    the name is None."""
+    names = {"1,1": "p_1_1", "1,2": "p_1_2", "2,1": "p_2_1", "2,2": "p_2_2"}
+    names.update(edits)
+    names = {key: name for key, name in names.items() if name is not None}
+    return {"m": 2, "letters": {"P": {"arity": arity, "names": names}}}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -159,10 +169,43 @@ class TestMalformedInput:
                 {"m": 10**9, "letters": {"P": {"arity": 0, "names": {"1,1": "a"}}}},
                 "malformed molecule signature: no name for P 1,2",
             ),
+            *(
+                (
+                    ["translate", "floor", "p_1_1 !\\/ p_1_2", "--signature", "{doc}"],
+                    _signature(edits, arity),
+                    f"malformed molecule signature: {message}",
+                )
+                for edits, arity, message in [
+                    ([("1,1", 5)], 0, "name for P 1,1 must be an elementary letter, not 5"),
+                    ([("1,2", "P")], 0, "name for P 1,2 must be an elementary letter, not 'P'"),
+                    ([("2,1", "x1")], 0, "name for P 2,1 must be an elementary letter, not 'x1'"),
+                    ([("2,2", "p_1_1")], 0, "P 1,1 and P 2,2 share the name p_1_1"),
+                    (
+                        [("1,2", None), ("1,2,3", "p_1_2")],
+                        0,
+                        "key '1,2,3' of P must be two positive integers a,b",
+                    ),
+                    (
+                        [("1,2", None), ("1,x", "p_1_2")],
+                        0,
+                        "key '1,x' of P must be two positive integers a,b",
+                    ),
+                    (
+                        [("1,1", None), ("0,1", "p_1_1")],
+                        0,
+                        "key '0,1' of P must be two positive integers a,b",
+                    ),
+                    ([], -1, "arity of P must be a non-negative integer, not -1"),
+                    ([], True, "arity of P must be a non-negative integer, not True"),
+                ]
+            ),
         ],
         ids=[
             "interp-string-truth", "interp-number-truth", "interp-params-string",
             "interp-params-number", "signature-missing-name", "signature-huge-m",
+            "signature-number-name", "signature-general-name", "signature-variable-name",
+            "signature-shared-name", "signature-long-key", "signature-letter-key",
+            "signature-zero-key", "signature-negative-arity", "signature-boolean-arity",
         ],
     )
     def test_rejected_document_is_named(self, capsys, tmp_path, argv, document, message):

@@ -326,3 +326,59 @@ class TestMemo:
         assert check_proof(d.proof).ok
         assert d.proof.conclusion == f
         assert stats["max_depth"] <= aggregate_complexity(f) + 1
+
+
+def _record(run, f):
+    trace, stats = [], {}
+    d = run(f, trace=trace, stats=stats)
+    return d.status, d.reason, stats, trace, proof_to_json(d.proof) if d.proof else None
+
+
+class TestLazyRuleAPremises:
+    """The search builds Rule A premises as it reads them.  Building them
+    all first, as a list, changes no verdict, reason, counter, trace line
+    or proof."""
+
+    def _same_lazy_and_eager(self, monkeypatch, run, formulas):
+        lazy = [_record(run, f) for f in formulas]
+        real = decide.rule_a_premises
+        with monkeypatch.context() as m:
+            m.setattr(decide, "rule_a_premises", lambda f: list(real(f)))
+            eager = [_record(run, f) for f in formulas]
+        for f, a, b in zip(formulas, lazy, eager):
+            assert a == b, pretty(f)
+
+    def test_exercise_tables(self, monkeypatch):
+        formulas = [parse(text) for text, _ in BLINDFREE.values()] + [parse(BLASS)]
+        self._same_lazy_and_eager(monkeypatch, decide_blindfree, formulas)
+        blind = [parse(text) for text, _ in BLIND.values()]
+        self._same_lazy_and_eager(monkeypatch, decide_extended, blind)
+
+    def test_lifted_clauses(self, monkeypatch):
+        formulas = [_lifted(c) for c in (1, 2, 3, 4, 5, 7, 8, 9, 15)]
+        self._same_lazy_and_eager(monkeypatch, decide_blindfree, formulas)
+
+    def test_random_blindfree(self, monkeypatch):
+        rng = random.Random(31)
+        formulas = [random_blindfree(rng, depth=3) for _ in range(100)]
+        self._same_lazy_and_eager(monkeypatch, decide_blindfree, formulas)
+
+    def test_every_built_premise_is_tried(self, monkeypatch):
+        # both lists keep their formulas alive, so their ids stay distinct
+        built, tried = [], []
+        real_premises, real_prove = decide.rule_a_premises, decide._prove
+
+        def premises(f):
+            for req in real_premises(f):
+                built.append(req.formula)
+                yield req
+
+        def prove(f, depth, search):
+            tried.append(f)
+            return real_prove(f, depth, search)
+
+        monkeypatch.setattr(decide, "rule_a_premises", premises)
+        monkeypatch.setattr(decide, "_prove", prove)
+        assert decide_blindfree(_lifted(8)).is_provable
+        tried_ids = {id(f) for f in tried}
+        assert built and all(id(f) in tried_ids for f in built)

@@ -36,11 +36,18 @@ from cl4kit.syntax import (
     addr_str,
     aggregate_complexity,
     apply_valuation,
+    atoms,
     check_depth,
+    constants,
     free_variables,
     gen_letter,
     general_dehybridization,
+    is_blind_free,
+    is_elementary,
+    is_formula,
     is_reasonable,
+    letter_names,
+    letters,
     parse,
     parse_addr,
     pretty,
@@ -234,6 +241,33 @@ _ENTRY_POINTS = {
 def test_too_deep_formula_built_in_code_is_a_value_error(entry):
     with pytest.raises(ValueError, match="nested too deeply"):
         entry(_negations(1200, parse("p \\/ ~p")))
+
+
+def test_walkers_over_subformulas_take_any_depth():
+    # deeper than Python's default recursion limit
+    f = _negations(1200, parse("p \\/ ~p"))
+    p = parse("p")
+    assert len(list(subformulas(f))) == 1204
+    assert list(atoms(f)) == [p, p]
+    assert letters(f) == {p.letter} and letter_names(f) == {"p"} and constants(f) == set()
+    assert is_elementary(f) and is_formula(f) and is_blind_free(f)
+    assert aggregate_complexity(f) == 1202
+
+
+def _reference_subformulas(f):
+    out = [f]
+    for child in f.children:
+        out += _reference_subformulas(child)
+    return out
+
+
+def test_subformulas_walk_in_pre_order():
+    rng = random.Random(17)
+    for _ in range(200):
+        f, _ = random_game_formula(rng, depth=5, with_hybrids=True, with_blind=True)
+        walked, expected = list(subformulas(f)), _reference_subformulas(f)
+        assert len(walked) == len(expected)
+        assert all(g is h for g, h in zip(walked, expected)), pretty(f)
 
 
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS.values()), ids=list(_ENTRY_POINTS))
