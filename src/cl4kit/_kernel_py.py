@@ -1,9 +1,10 @@
 """Bigint sweep of the truth-table kernel.
 
 Evaluates the whole assignment space at once: the truth column of atom i
-over all 2**n assignments is packed into one big integer, and the postfix
-program (the format of ``cl4kit.kernel.compile_program``) runs bottom-up
-with bigint bitwise operations.
+over all 2**n assignments is packed into one big integer, and the flat
+postfix program of ``cl4kit.kernel.compile_program`` (an atom index, or one
+of the opcodes -5 F, -4 T, -3 NOT, -2 AND, -1 OR) runs bottom-up with bigint
+bitwise operations.
 """
 
 from __future__ import annotations
@@ -21,34 +22,24 @@ def _column(i: int, n: int) -> int:
 
 
 def falsifying(program, n_atoms: int):
-    """Index of some falsifying assignment, or None for a tautology."""
-    if n_atoms < 0 or n_atoms > 32:
-        raise ValueError("atom count out of range for the bigint kernel")
-    if len(program) % 2 != 0 or len(program) == 0:
-        raise ValueError("malformed program")
+    """Index of some falsifying assignment, or None for a tautology.  The
+    program is one ``compile_program`` wrote, over n_atoms atoms."""
     mask = (1 << (1 << n_atoms)) - 1
     columns = [_column(i, n_atoms) for i in range(n_atoms)]
     stack: list[int] = []
-    for k in range(0, len(program), 2):
-        op, arg = program[k], program[k + 1]
-        if op == 0:
-            stack.append(columns[arg])
-        elif op == 1:
-            stack.append(0)
-        elif op == 2:
-            stack.append(mask)
-        elif op == 3:
+    for op in program:
+        if op >= 0:
+            stack.append(columns[op])
+        elif op == -3:
             stack[-1] = mask ^ stack[-1]
-        elif op == 4:
+        elif op == -2:
             b = stack.pop()
             stack[-1] &= b
-        elif op == 5:
+        elif op == -1:
             b = stack.pop()
             stack[-1] |= b
         else:
-            raise ValueError(f"bad opcode {op}")
-    if len(stack) != 1:
-        raise ValueError("malformed program")
+            stack.append(mask if op == -4 else 0)
     value = stack[0] & mask
     if value == mask:
         return None

@@ -10,7 +10,9 @@ limited by Python's stack depth.  ``MAX_SWEEP_ATOMS`` is the measured
 crossover: at 18 atoms the two take about the same time per call, and from
 19 atoms on the sweep, which doubles with each atom, is the slower.
 
-Opcodes: 0 LOAD, 1 FALSE, 2 TRUE, 3 NOT, 4 AND, 5 OR.
+A program is a flat list of ints run on a stack: an atom index (0 or more)
+pushes that atom, -5 pushes F, -4 pushes T, -3 applies NOT to the top, and
+-2 and -1 replace the top two entries by their AND and their OR.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import _kernel_py
 
 MAX_SWEEP_ATOMS = 18
 
-OP_LOAD, OP_FALSE, OP_TRUE, OP_NOT, OP_AND, OP_OR = range(6)
+OP_FALSE, OP_TRUE, OP_NOT, OP_AND, OP_OR = range(-5, 0)
 
 
 def compile_program(f: Formula) -> tuple[list[int], list[Atom]]:
@@ -31,25 +33,19 @@ def compile_program(f: Formula) -> tuple[list[int], list[Atom]]:
 
     The input must be quantifier-free and elementary; ``T``/``F`` compile to
     constants, every other atom (letter plus exact argument tuple) gets an
-    independent input bit.
+    independent input bit.  Atoms are indexed in order of first occurrence.
     """
     atom_index: dict[Atom, int] = {}
-    atom_list: list[Atom] = []
     ops: list[int] = []
 
     def emit(node: Formula) -> None:
         if isinstance(node, Atom):
             if node.letter.logical:
-                ops.extend((OP_TRUE if node.letter.name == "T" else OP_FALSE, 0))
+                ops.append(OP_TRUE if node.letter.name == "T" else OP_FALSE)
                 return
             if node.letter.kind != "elementary":
                 raise ValueError("kernel input must be elementary")
-            idx = atom_index.get(node)
-            if idx is None:
-                idx = len(atom_list)
-                atom_index[node] = idx
-                atom_list.append(node)
-            ops.extend((OP_LOAD, idx))
+            ops.append(atom_index.setdefault(node, len(atom_index)))
             return
         if node.surface is QUASIATOM or node.bound_var is not None:  # a choice or quantifier
             raise ValueError("kernel input must be quantifier-free and elementary")
@@ -58,12 +54,12 @@ def compile_program(f: Formula) -> tuple[list[int], list[Atom]]:
         for k, child in enumerate(node.children):
             emit(child)
             if signs[k] < 0:
-                ops.extend((OP_NOT, 0))
+                ops.append(OP_NOT)
             if k:
-                ops.extend((fold, 0))
+                ops.append(fold)
 
     emit(f)
-    return ops, atom_list
+    return ops, list(atom_index)
 
 
 def falsifying_assignment(f: Formula) -> dict[Atom, bool] | None:
@@ -73,13 +69,10 @@ def falsifying_assignment(f: Formula) -> dict[Atom, bool] | None:
     n = len(atom_list)
     if n <= MAX_SWEEP_ATOMS:
         idx = _kernel_py.falsifying(ops, n)
-        if idx is None:
-            return None
-        return {a: bool((idx >> i) & 1) for i, a in enumerate(atom_list)}
-    model = _dpll_negation(ops, n)
-    if model is None:
-        return None
-    return {a: model[i] for i, a in enumerate(atom_list)}
+        model = None if idx is None else [bool((idx >> i) & 1) for i in range(n)]
+    else:
+        model = _dpll_negation(ops, n)
+    return None if model is None else dict(zip(atom_list, model))
 
 
 def is_tautology(f: Formula) -> bool:
@@ -92,56 +85,45 @@ def is_tautology(f: Formula) -> bool:
 
 
 def _clausify_negation(ops: list[int], n_atoms: int) -> tuple[list[list[int]], int]:
-    """CNF equisatisfiable with NOT(program).  Variables 1..n_atoms are the
-    atoms; higher variables label subformulas."""
+    """CNF equisatisfiable with NOT(program), and its number of variables.
+    Variables 1..n_atoms are the atoms; higher variables label subformulas.
+    Literals are codes: ``2v`` for variable ``v``, ``2v + 1`` for its
+    negation, so ``code ^ 1`` negates."""
     clauses: list[list[int]] = []
-    next_var = n_atoms + 1
     stack: list[int] = []
-
-    def fresh() -> int:
-        nonlocal next_var
-        v = next_var
-        next_var += 1
-        return v
-
-    for k in range(0, len(ops), 2):
-        op, arg = ops[k], ops[k + 1]
-        if op == OP_LOAD:
-            stack.append(arg + 1)
-        elif op == OP_FALSE:
-            v = fresh()
-            clauses.append([-v])
-            stack.append(v)
-        elif op == OP_TRUE:
-            v = fresh()
-            clauses.append([v])
-            stack.append(v)
+    lit = 2 * n_atoms  # positive literal of the last variable in use
+    for op in ops:
+        if op >= 0:
+            stack.append(2 * op + 2)
         elif op == OP_NOT:
-            stack[-1] = -stack[-1]
-        elif op in (OP_AND, OP_OR):
-            b = stack.pop()
-            a = stack.pop()
-            v = fresh()
+            stack[-1] ^= 1
+        else:
+            lit += 2
             if op == OP_AND:
-                clauses.extend(([-v, a], [-v, b], [v, -a, -b]))
+                b = stack.pop()
+                a = stack.pop()
+                clauses.extend(([lit ^ 1, a], [lit ^ 1, b], [lit, a ^ 1, b ^ 1]))
+            elif op == OP_OR:
+                b = stack.pop()
+                a = stack.pop()
+                clauses.extend(([lit ^ 1, a, b], [lit, a ^ 1], [lit, b ^ 1]))
             else:
-                clauses.extend(([-v, a, b], [v, -a], [v, -b]))
-            stack.append(v)
-    clauses.append([-stack.pop()])
-    return clauses, next_var - 1
+                clauses.append([lit if op == OP_TRUE else lit ^ 1])
+            stack.append(lit)
+    clauses.append([stack.pop() ^ 1])
+    return clauses, lit >> 1
 
 
-def _dpll_negation(ops: list[int], n_atoms: int) -> dict[int, bool] | None:
-    """Satisfying assignment (atom index -> bool, every atom) of the negated
-    program, or None when the program is a tautology.
+def _dpll_negation(ops: list[int], n_atoms: int) -> list[bool] | None:
+    """Satisfying assignment of the negated program, one truth value per
+    atom index, or None when the program is a tautology.
 
     An iterative CDCL search over the Tseitin clauses: two watched literals
     per clause, a trail split into decision levels, first-UIP conflict
     analysis with a backjump to the second-highest level of the learnt
     clause, and the most active unassigned variable as the next decision.
     Nothing recurses, so the number of decisions is not bounded by Python's
-    stack.  Literal ``l`` of variable ``v`` is coded ``2v`` when positive and
-    ``2v + 1`` when negative, so ``code ^ 1`` negates it.
+    stack.  Literals are the codes of ``_clausify_negation``.
     """
     raw, n_vars = _clausify_negation(ops, n_atoms)
     value = [0] * (2 * n_vars + 2)  # by literal code: 1 true, -1 false, 0 free
@@ -260,8 +242,8 @@ def _dpll_negation(ops: list[int], n_atoms: int) -> dict[int, bool] | None:
         del trail[start:], trail_lim[target:]
         qhead = start
 
-    for signed in raw:
-        clause = list(dict.fromkeys(2 * abs(l) + (l < 0) for l in signed))
+    for coded in raw:
+        clause = list(dict.fromkeys(coded))
         if any(lit ^ 1 in clause for lit in clause):
             continue
         if len(clause) > 1:
@@ -283,6 +265,6 @@ def _dpll_negation(ops: list[int], n_atoms: int) -> dict[int, bool] | None:
         while order and value[2 * order[0][1]]:
             heapq.heappop(order)
         if not order:
-            return {v - 1: value[2 * v] == 1 for v in range(1, n_atoms + 1)}
+            return [value[2 * v] == 1 for v in range(1, n_atoms + 1)]
         trail_lim.append(len(trail))
         assign(2 * heapq.heappop(order)[1] + 1, None)

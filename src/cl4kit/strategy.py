@@ -279,6 +279,17 @@ class _Play:
             return self._finish(ENVIRONMENT_ILLEGAL, f"move {entry!r} fits no subcase")
 
 
+def _require_playable(proof: Proof, budget: Budget) -> None:
+    """Raise StrategyError unless the proof checks and every step is
+    reasonable: the preconditions of playing its strategy."""
+    result = check_proof(proof, budget)
+    if not result:
+        raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
+    for s in proof.steps:
+        if not is_reasonable(s.formula):
+            raise StrategyError(f"step {s.id} is not reasonable")
+
+
 def extract_and_play(
     proof: Proof,
     interp: Interpretation,
@@ -293,12 +304,7 @@ def extract_and_play(
     entries) ends the play, which is then scored by the winner evaluator.
     The play stops after max_steps loop iterations and is scored there.
     """
-    result = check_proof(proof, budget)
-    if not result:
-        raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
-    for s in proof.steps:
-        if not is_reasonable(s.formula):
-            raise StrategyError(f"step {s.id} is not reasonable")
+    _require_playable(proof, budget)
     play = _Play(proof, interp, max_steps)
     return play.play(env_moves) or play.end()
 
@@ -369,15 +375,13 @@ def enumerate_plays(
 ) -> list[tuple[list[str], PlayTranscript]]:
     """Play every legal environment script of at most max_env_moves moves
     (each script implicitly ends with a pass), depth first.  The proof is
-    checked once.
+    checked once, with the preconditions of ``extract_and_play``.
 
     The play waiting after a script is forked: one fork passes, and one per
     legal environment move at its carried position plays that move, so no
     prefix is played twice.  A play that ended without reading its script
     (it ran out of loop iterations) ends so, in a copy, for every extension."""
-    result = check_proof(proof, budget)
-    if not result:
-        raise StrategyError(f"proof fails at step {result.step_id}: {result.message}")
+    _require_playable(proof, budget)
     out: list[tuple[list[str], PlayTranscript]] = []
 
     def explore(play: _Play, script: list[str], ended: PlayTranscript | None) -> None:

@@ -74,6 +74,11 @@ class MoleculeSignature:
             names: dict[tuple[str, int, int], str] = {}
             arities: dict[str, int] = {}
             for p, entry in doc["letters"].items():
+                general = isinstance(p, str) and re.fullmatch(r"[A-Z][A-Za-z0-9_]*", p)
+                if not general or p in ("T", "F"):
+                    raise ValueError(
+                        f"malformed molecule signature: letter {p!r} must be a general letter"
+                    )
                 arities[p] = entry["arity"]
                 for key, name in entry["names"].items():
                     if not re.fullmatch(r"[1-9][0-9]*,[1-9][0-9]*", key):

@@ -21,7 +21,9 @@ from cl4kit.games import (
     negate_run,
 )
 from cl4kit.syntax import (
+    BOT,
     QUASIATOM,
+    TOP,
     TRANSPARENT,
     Atom,
     BlindAll,
@@ -51,14 +53,23 @@ ELEM_NAMES = ["p", "q", "r", "s"]
 GEN_NAMES = ["P", "Q", "R"]
 
 
-def random_qf_elementary(rng: random.Random, max_atoms: int = 8, depth: int = 4) -> Formula:
-    """Quantifier-free elementary formula over 0-ary letters."""
+def random_qf_elementary(
+    rng: random.Random, max_atoms: int = 8, depth: int = 4, constants: bool = False
+) -> Formula:
+    """Quantifier-free elementary formula over 0-ary letters; with constants,
+    T and F leaves too, and nodes whose two operands are one subformula
+    (``g /\\ g``, ``g -> g``)."""
     atoms = [Atom(elem_letter(f"p{i}")) for i in range(max_atoms)]
+    if constants:
+        atoms += [TOP, BOT]
 
     def build(d: int) -> Formula:
         if d == 0 or rng.random() < 0.3:
             return rng.choice(atoms)
-        kind = rng.randrange(4)
+        kind = rng.randrange(6 if constants else 4)
+        if kind >= 4:
+            g = build(d - 1)
+            return ParAnd((g, g)) if kind == 4 else Implies(g, g)
         if kind == 0:
             return Neg(build(d - 1))
         if kind == 1:

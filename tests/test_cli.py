@@ -171,6 +171,22 @@ class TestMalformedInput:
             ),
             *(
                 (
+                    ["translate", "floor", "(a !\\/ b) !/\\ (c !\\/ d)", "--signature", "{doc}"],
+                    {
+                        "m": 2,
+                        "letters": {
+                            letter: {
+                                "arity": 0,
+                                "names": {"1,1": "a", "1,2": "b", "2,1": "c", "2,2": "d"},
+                            }
+                        },
+                    },
+                    f"malformed molecule signature: letter {letter!r} must be a general letter",
+                )
+                for letter in ("q", "x", "P#r", "T", "F", "", "P Q")
+            ),
+            *(
+                (
                     ["translate", "floor", "p_1_1 !\\/ p_1_2", "--signature", "{doc}"],
                     _signature(edits, arity),
                     f"malformed molecule signature: {message}",
@@ -203,6 +219,9 @@ class TestMalformedInput:
         ids=[
             "interp-string-truth", "interp-number-truth", "interp-params-string",
             "interp-params-number", "signature-missing-name", "signature-huge-m",
+            "signature-elementary-letter", "signature-variable-letter",
+            "signature-hybrid-letter", "signature-true-letter", "signature-false-letter",
+            "signature-empty-letter", "signature-spaced-letter",
             "signature-number-name", "signature-general-name", "signature-variable-name",
             "signature-shared-name", "signature-long-key", "signature-letter-key",
             "signature-zero-key", "signature-negative-arity", "signature-boolean-arity",

@@ -4,7 +4,7 @@ import pytest
 
 from cl4kit import kernel
 from cl4kit import _kernel_py
-from cl4kit.syntax import Atom, Implies, Neg, ParAnd, ParOr, elem_letter, parse, pretty
+from cl4kit.syntax import BOT, TOP, Atom, Implies, Neg, ParAnd, ParOr, elem_letter, parse, pretty
 
 from helpers import random_qf_elementary
 
@@ -110,8 +110,13 @@ def test_dpll_agrees_with_sweep():
     rng = random.Random(23)
     formulas = [random_qf_elementary(rng, max_atoms=6, depth=4) for _ in range(200)]
     cnfs = [negated_3cnf(rng, rng.randint(10, 16)) for _ in range(400)]
+    constants = [
+        random_qf_elementary(rng, max_atoms=rng.randint(1, 6), depth=4, constants=True)
+        for _ in range(300)
+    ]
+    constants += [parse(t) for t in ("T", "F", "~T", "p /\\ p", "p -> p", "F \\/ p", "T /\\ ~p")]
     verdicts = []
-    for f in formulas + cnfs:
+    for f in formulas + cnfs + constants:
         ops, atoms = kernel.compile_program(f)
         sweep = _kernel_py.falsifying(ops, len(atoms))
         dpll = kernel._dpll_negation(ops, len(atoms))
@@ -119,7 +124,8 @@ def test_dpll_agrees_with_sweep():
         if dpll is not None:
             assert ev(f, {a: dpll[i] for i, a in enumerate(atoms)}) is False, pretty(f)
         verdicts.append(dpll is None)
-    assert set(verdicts[len(formulas) :]) == {True, False}
+    assert set(verdicts[len(formulas) : len(formulas) + len(cnfs)]) == {True, False}
+    assert set(verdicts[len(formulas) + len(cnfs) :]) == {True, False}
 
 
 def test_wide_formula_falls_back_to_dpll():
@@ -131,6 +137,18 @@ def test_wide_formula_falls_back_to_dpll():
     assignment = kernel.falsifying_assignment(open_f)
     assert assignment is not None
     assert not any(assignment[a] for a in atoms)
+
+
+def test_wide_formula_with_constants_takes_dpll():
+    n = kernel.MAX_SWEEP_ATOMS + 3
+    atoms = tuple(Atom(elem_letter(f"p{i}")) for i in range(n))
+    # a tautology only through its T disjunct, and F among falsifiable disjuncts
+    assert kernel.is_tautology(ParOr((TOP,) + atoms))
+    assert kernel.is_tautology(Implies(ParAnd(atoms + (BOT,)), atoms[0]))
+    open_f = ParOr(atoms + (BOT,))
+    assignment = kernel.falsifying_assignment(open_f)
+    assert assignment is not None and not any(assignment.values())
+    assert ev(open_f, assignment) is False
 
 
 def test_wide_flat_disjunction_has_no_recursion_limit():

@@ -453,21 +453,33 @@ class TestPreconditions:
         with pytest.raises(StrategyError):
             extract_and_play(proof, interactive_interp(), ["pass"])
 
+    UNREASONABLE = Proof(
+        "CL4o",
+        [
+            ProofStep(1, parse("P#q(1) \\/ ~P#q(2) \\/ s \\/ ~s"), RULE_A, ()),
+            ProofStep(
+                2,
+                parse("P(1) \\/ ~P(2) \\/ s \\/ ~s"),
+                RuleApplication("Co", hybrid="P#q"),
+                (1,),
+            ),
+        ],
+    )
+
     def test_unreasonable_step_rejected(self):
-        p = Proof(
-            "CL4o",
-            [
-                ProofStep(1, parse("P#q(1) \\/ ~P#q(2) \\/ s \\/ ~s"), RULE_A, ()),
-                ProofStep(
-                    2,
-                    parse("P(1) \\/ ~P(2) \\/ s \\/ ~s"),
-                    RuleApplication("Co", hybrid="P#q"),
-                    (1,),
-                ),
-            ],
-        )
         with pytest.raises(StrategyError):
-            extract_and_play(p, interactive_interp(2), ["pass"])
+            extract_and_play(self.UNREASONABLE, interactive_interp(2), ["pass"])
+
+    def test_enumeration_rejects_what_play_rejects(self):
+        interp = Interpretation(
+            universe=2, general={"P": GeneralDef(("x",), parse("a(x) !\\/ b(x)"))}
+        )
+        for play in (
+            lambda: extract_and_play(self.UNREASONABLE, interp, ["pass"]),
+            lambda: enumerate_plays(self.UNREASONABLE, interp, 2),
+        ):
+            with pytest.raises(StrategyError, match="step 1 is not reasonable"):
+                play()
 
 
 class TestRandomizedSoundness:
