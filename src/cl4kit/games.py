@@ -5,7 +5,9 @@ A labmove is a player tag ("T" for the machine, "B" for the environment)
 plus a move string.  Move strings are read against a formula by walking
 from the root: dot-separated numeric tokens index children of parallel
 nodes (negation and blind quantifiers are transparent), and the walk stops
-at the first quasiatom; whatever remains is the payload.
+at the first quasiatom; whatever remains is the payload.  Index tokens and
+choice payloads are read only as canonical ASCII decimals, the spellings
+`legal_moves` lists: "01", "02.x" and "١" name no child, "01" no choice.
 
 Games are finite: choice quantifiers range over the interpretation's
 universe {0..U-1}, and blind quantifiers evaluate as conjunction or
@@ -26,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import takewhile
 
 from .syntax import (
     Address,
@@ -233,11 +234,15 @@ def load_run(path: str) -> Run:
 # ---------------------------------------------------------------------------
 
 
+_INDICES = re.compile(r"(?:[1-9][0-9]*\.)*")  # the leading `i.` tokens
+_CHOICE = re.compile(r"0|[1-9][0-9]*")
+
+
 def parse_move(f: Formula, move: str) -> tuple[Occurrence, str] | None:
     """Resolve a move string against f: walk parallel structure by its
     leading `i.` tokens, stop at the first quasiatom, return it plus the
     remaining payload.  None when the string does not resolve."""
-    indices = map(int, takewhile(str.isdecimal, move.split(".")[:-1]))
+    indices = map(int, _INDICES.match(move)[0].split(".")[:-1])
     try:
         _, occ = surface_path(f, indices)
     except (KeyError, ValueError):  # ValueError: more digits than int() reads
@@ -260,7 +265,7 @@ def _choice_component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
     """The component of the choice quasiatom qa that the move m selects, m
     read in qa's positive view; None when m is illegal there: the wrong
     player or a bad payload."""
-    if m.player != choice_mover(qa, 1) or not re.fullmatch(r"\d+", m.move):
+    if m.player != choice_mover(qa, 1) or not _CHOICE.fullmatch(m.move):
         return None
     try:
         n = int(m.move)
@@ -427,25 +432,22 @@ def legal_moves_at(state: ResidualState, interp: Interpretation, player: str) ->
 
 def is_top_delay(d: Run, g: Run) -> bool:
     """Is d a rescheduling of g in which the machine moves no earlier?
-    Both players keep their own move subsequences; no machine move may jump
-    before an environment move it followed in g."""
-    d_top = [m.move for m in d if m.player == TOP_PLAYER]
-    g_top = [m.move for m in g if m.player == TOP_PLAYER]
-    d_bot = [m.move for m in d if m.player == BOT_PLAYER]
-    g_bot = [m.move for m in g if m.player == BOT_PLAYER]
-    if d_top != g_top or d_bot != g_bot:
-        return False
+    Both players keep their own move subsequences, and each machine move
+    follows at least as many environment moves in d as in g."""
 
-    def positions(run: Run, player: str) -> list[int]:
-        return [i for i, m in enumerate(run) if m.player == player]
+    def split(run: Run) -> tuple[list[tuple[str, int]], list[str]]:
+        tops, bots = [], []
+        for m in run:
+            if m.player == TOP_PLAYER:
+                tops.append((m.move, len(bots)))
+            elif m.player == BOT_PLAYER:
+                bots.append(m.move)
+        return tops, bots
 
-    d_top_pos, d_bot_pos = positions(d, TOP_PLAYER), positions(d, BOT_PLAYER)
-    g_top_pos, g_bot_pos = positions(g, TOP_PLAYER), positions(g, BOT_PLAYER)
-    for n, gt in enumerate(g_top_pos):
-        for k, gb in enumerate(g_bot_pos):
-            if gt > gb and d_top_pos[n] < d_bot_pos[k]:
-                return False
-    return True
+    (d_tops, d_bots), (g_tops, g_bots) = split(d), split(g)
+    return d_bots == g_bots and len(d_tops) == len(g_tops) and all(
+        dm == gm and dn >= gn for (dm, dn), (gm, gn) in zip(d_tops, g_tops)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -199,17 +199,20 @@ class Formula:
             return self._surface_occurrences
         except AttributeError:
             found: list[Occurrence] = []
-
-            def walk(node: Formula, addr: Address, pol: int) -> None:
+            # an explicit stack, so no depth exhausts Python's recursion limit
+            stack: list[tuple[Formula, Address, int]] = [(self, (), 1)]
+            while stack:
+                node, addr, pol = stack.pop()
                 if node.surface is QUASIATOM:
                     found.append(Occurrence(addr, node, pol))
                 elif node.surface is TRANSPARENT:
-                    walk(node.children[0], addr, pol * node.signs[0])
+                    stack.append((node.children[0], addr, pol * node.signs[0]))
                 else:
-                    for i, (child, sign) in enumerate(zip(node.children, node.signs), start=1):
-                        walk(child, addr + (i,), pol * sign)
-
-            walk(self, (), 1)
+                    children, signs = node.children, node.signs
+                    stack.extend(
+                        (children[i - 1], addr + (i,), pol * signs[i - 1])
+                        for i in range(len(children), 0, -1)
+                    )
             return self._keep("_surface_occurrences", tuple(found))
 
 

@@ -11,7 +11,9 @@ medium, and isolated small molecules back into the general atom.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     Atom,
@@ -20,6 +22,7 @@ from .syntax import (
     Formula,
     Term,
     _read_int,
+    atoms,
     elem_letter,
     gen_letter,
     is_choice,
@@ -27,7 +30,6 @@ from .syntax import (
     is_variable_name,
     letter_names,
     rewrite,
-    subformulas,
 )
 
 
@@ -40,17 +42,20 @@ class MoleculeSignature:
     names: dict[tuple[str, int, int], str]
     arities: dict[str, int]
 
-    def small_name(self, p: str, a: int, b: int) -> str:
-        return self.names[(p, a, b)]
-
     def small(self, p: str, a: int, b: int, args: tuple[Term, ...]) -> Atom:
-        return Atom(elem_letter(self.small_name(p, a, b), self.arities[p]), args)
+        return Atom(elem_letter(self.names[(p, a, b)], self.arities[p]), args)
 
     def medium(self, p: str, a: int, args: tuple[Term, ...]) -> ChoOr:
         return ChoOr(tuple(self.small(p, a, b, args) for b in range(1, self.m + 1)))
 
     def large(self, p: str, args: tuple[Term, ...]) -> ChoAnd:
         return ChoAnd(tuple(self.medium(p, a, args) for a in range(1, self.m + 1)))
+
+    @cached_property
+    def by_name(self) -> dict[str, tuple[str, int, int]]:
+        """Fresh letter name -> (general letter, a, b); the first key in
+        names order wins a shared name."""
+        return {name: key for key, name in reversed(self.names.items())}
 
     def to_json(self) -> dict:
         return {
@@ -126,37 +131,26 @@ class MoleculeSignature:
         return cls(m, names, arities)
 
 
-def _general_occurrence_count(f: Formula) -> int:
-    return sum(
-        1 for g in subformulas(f) if isinstance(g, Atom) and g.letter.kind == "general"
-    )
-
-
 def signature_for(f: Formula) -> MoleculeSignature:
     """Deterministic signature: m is the count of general-letter occurrences
     (at least 2); generated names encode letter and indices and are bumped
     together until fresh for f."""
     if not is_formula(f):
         raise ValueError("lifting is defined for hybrid-free formulas")
-    m = max(2, _general_occurrence_count(f))
-    gens = sorted(
-        {
-            (g.letter.name, g.letter.arity)
-            for g in subformulas(f)
-            if isinstance(g, Atom) and g.letter.kind == "general"
-        }
-    )
+    gens = [(g.letter.name, g.letter.arity) for g in atoms(f) if g.letter.kind == "general"]
+    m = max(2, len(gens))
+    arities = dict(sorted(set(gens)))
     used = letter_names(f)
     for bump in range(1000):
         suffix = "" if bump == 0 else f"_r{bump}"
         names = {
             (p, a, b): f"{p.lower()}_{a}_{b}{suffix}"
-            for p, _ in gens
+            for p in arities
             for a in range(1, m + 1)
             for b in range(1, m + 1)
         }
         if not (set(names.values()) & used):
-            return MoleculeSignature(m, names, {p: ar for p, ar in gens})
+            return MoleculeSignature(m, names, arities)
     raise AssertionError("could not generate fresh molecule letters")
 
 
@@ -176,7 +170,7 @@ def lift(f: Formula, sig: MoleculeSignature | None = None) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Molecule pattern matching
+# Molecule recognition
 # ---------------------------------------------------------------------------
 
 
@@ -191,36 +185,36 @@ class MoleculeOccurrence:
     surface: bool
 
 
-def _match_small(node: Formula, sig: MoleculeSignature) -> tuple[str, int, int, tuple] | None:
-    if not isinstance(node, Atom):
+def _molecule(
+    node: Formula, sig: MoleculeSignature
+) -> tuple[str, str, int | None, int | None, tuple[Term, ...]] | None:
+    """node read as a molecule of sig, (kind, letter, a, b, args) with a and
+    b None where the kind has no such index, or None.  A small is an
+    elementary atom named in sig with its letter's arity; a medium or large
+    is a choice disjunction or conjunction of m parts, the smalls b = 1..m
+    of one row or the mediums a = 1..m, all over the same args."""
+    if isinstance(node, Atom):
+        key = sig.by_name.get(node.letter.name) if node.letter.kind == "elementary" else None
+        if key is None or node.letter.arity != sig.arities[key[0]]:
+            return None
+        return ("small", *key, node.args)
+    if not is_choice(node) or node.bound_var is not None or len(node.children) != sig.m:
         return None
-    for (p, a, b), name in sig.names.items():
-        if node.letter.kind == "elementary" and node.letter.name == name:
-            return p, a, b, node.args
-    return None
-
-def _match_medium(node: Formula, sig: MoleculeSignature) -> tuple[str, int, tuple] | None:
-    if len(node.children) != sig.m:
+    large = node.conjunctive
+    # a part that cannot be a medium of a large or a small of a medium is
+    # not read, so the reading goes at most two levels down
+    if any(part.conjunctive if large else not isinstance(part, Atom) for part in node.children):
         return None
-    first = _match_small(node.children[0], sig)
-    if first is None or first[2] != 1:
+    parts = [_molecule(part, sig) for part in node.children]
+    if parts[0] is None:
         return None
-    p, a, _, args = first
-    if node != sig.medium(p, a, args):
-        return None
-    return p, a, args
-
-
-def _match_large(node: Formula, sig: MoleculeSignature) -> tuple[str, tuple] | None:
-    if len(node.children) != sig.m:
-        return None
-    first = _match_medium(node.children[0], sig)
-    if first is None or first[1] != 1:
-        return None
-    p, _, args = first
-    if node != sig.large(p, args):
-        return None
-    return p, args
+    _, p, a, _, args = parts[0]
+    rows = range(1, sig.m + 1)
+    if large:
+        want = [("medium", p, i, None, args) for i in rows]
+        return ("large", p, None, None, args) if parts == want else None
+    want = [("small", p, a, i, args) for i in rows]
+    return ("medium", p, a, None, args) if parts == want else None
 
 
 def independent_occurrences(e: Formula, sig: MoleculeSignature) -> list[MoleculeOccurrence]:
@@ -229,20 +223,9 @@ def independent_occurrences(e: Formula, sig: MoleculeSignature) -> list[Molecule
     out: list[MoleculeOccurrence] = []
 
     def walk(node: Formula, pol: int, surface: bool) -> None:
-        large = _match_large(node, sig)
-        if large is not None:
-            p, args = large
-            out.append(MoleculeOccurrence("large", p, None, None, args, pol, surface))
-            return
-        medium = _match_medium(node, sig)
-        if medium is not None:
-            p, a, args = medium
-            out.append(MoleculeOccurrence("medium", p, a, None, args, pol, surface))
-            return
-        small = _match_small(node, sig)
-        if small is not None:
-            p, a, b, args = small
-            out.append(MoleculeOccurrence("small", p, a, b, args, pol, surface))
+        molecule = _molecule(node, sig)
+        if molecule is not None:
+            out.append(MoleculeOccurrence(*molecule, pol, surface))
             return
         surface = surface and not is_choice(node)
         for child, sign in zip(node.children, node.signs):
@@ -256,28 +239,18 @@ def floorify(e: Formula, sig: MoleculeSignature) -> Formula:
     """Collapse every independent occurrence of a large or medium molecule,
     and of every isolated small molecule, into its base general atom.
     Non-isolated small molecules stay."""
-    small_counts: dict[tuple[str, int, int], int] = {}
-    for occ in independent_occurrences(e, sig):
-        if occ.kind == "small":
-            key = (occ.letter, occ.a, occ.b)
-            small_counts[key] = small_counts.get(key, 0) + 1
+    small_counts = Counter(
+        (occ.letter, occ.a, occ.b) for occ in independent_occurrences(e, sig) if occ.kind == "small"
+    )
 
     def fn(node: Formula) -> Formula | None:
-        large = _match_large(node, sig)
-        if large is not None:
-            p, args = large
-            return Atom(gen_letter(p, sig.arities[p]), args)
-        medium = _match_medium(node, sig)
-        if medium is not None:
-            p, _a, args = medium
-            return Atom(gen_letter(p, sig.arities[p]), args)
-        small = _match_small(node, sig)
-        if small is not None:
-            p, a, b, args = small
-            if small_counts.get((p, a, b), 0) == 1:
-                return Atom(gen_letter(p, sig.arities[p]), args)
+        molecule = _molecule(node, sig)
+        if molecule is None:
+            return None
+        kind, p, a, b, args = molecule
+        if kind == "small" and small_counts[(p, a, b)] != 1:
             return node
-        return None
+        return Atom(gen_letter(p, sig.arities[p]), args)
 
     return rewrite(e, fn)
 

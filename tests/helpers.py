@@ -46,6 +46,7 @@ from cl4kit.syntax import (
     is_reasonable,
     letters,
     replace_letter,
+    rewrite,
     substitute,
 )
 
@@ -265,7 +266,7 @@ def rearrangements(run: Run) -> list[Run]:
 # A reference evaluator of runs, independent of games.advance
 # ---------------------------------------------------------------------------
 
-_INDEX_RE = re.compile(r"(\d+)\.")
+_INDEX_RE = re.compile(r"([1-9][0-9]*)\.")
 
 
 def _number(digits: str) -> int | None:
@@ -278,7 +279,7 @@ def _number(digits: str) -> int | None:
 def _component(qa: Formula, m: LabMove, universe: int) -> Formula | None:
     """The component of a choice that m, read in the choice's positive view,
     selects; None when m is illegal there."""
-    n = _number(m.move) if re.fullmatch(r"\d+", m.move) else None
+    n = _number(m.move) if re.fullmatch(r"0|[1-9][0-9]*", m.move) else None
     if m.player != choice_mover(qa, 1) or n is None:
         return None
     if qa.bound_var is not None:
@@ -686,3 +687,124 @@ def reference_enumerate_plays(
 
     explore([])
     return out
+
+
+def reference_is_top_delay(d: Run, g: Run) -> bool:
+    """Top-delay by every pair of positions: no machine move of d comes
+    before an environment move it followed in g."""
+    d_top = [m.move for m in d if m.player == TOP_PLAYER]
+    g_top = [m.move for m in g if m.player == TOP_PLAYER]
+    d_bot = [m.move for m in d if m.player == BOT_PLAYER]
+    g_bot = [m.move for m in g if m.player == BOT_PLAYER]
+    if d_top != g_top or d_bot != g_bot:
+        return False
+
+    def positions(run: Run, player: str) -> list[int]:
+        return [i for i, m in enumerate(run) if m.player == player]
+
+    d_top_pos, d_bot_pos = positions(d, TOP_PLAYER), positions(d, BOT_PLAYER)
+    g_top_pos, g_bot_pos = positions(g, TOP_PLAYER), positions(g, BOT_PLAYER)
+    for n, gt in enumerate(g_top_pos):
+        for k, gb in enumerate(g_bot_pos):
+            if gt > gb and d_top_pos[n] < d_bot_pos[k]:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reference molecule matchers: each builds the molecule it looks for and
+# compares it with the node
+# ---------------------------------------------------------------------------
+
+
+def _reference_small(node: Formula, sig) -> tuple | None:
+    if not isinstance(node, Atom):
+        return None
+    for (p, a, b), name in sig.names.items():
+        if node.letter.kind == "elementary" and node.letter.name == name:
+            return p, a, b, node.args
+    return None
+
+
+def _reference_medium(node: Formula, sig) -> tuple | None:
+    if len(node.children) != sig.m:
+        return None
+    first = _reference_small(node.children[0], sig)
+    if first is None or first[2] != 1:
+        return None
+    p, a, _, args = first
+    if node != sig.medium(p, a, args):
+        return None
+    return p, a, args
+
+
+def _reference_large(node: Formula, sig) -> tuple | None:
+    if len(node.children) != sig.m:
+        return None
+    first = _reference_medium(node.children[0], sig)
+    if first is None or first[1] != 1:
+        return None
+    p, _, args = first
+    if node != sig.large(p, args):
+        return None
+    return p, args
+
+
+def reference_independent_occurrences(e: Formula, sig) -> list:
+    """The independent molecule occurrences of e, matched large, then
+    medium, then small at each node."""
+    from cl4kit.translate import MoleculeOccurrence
+
+    out = []
+
+    def walk(node: Formula, pol: int, surface: bool) -> None:
+        large = _reference_large(node, sig)
+        if large is not None:
+            p, args = large
+            out.append(MoleculeOccurrence("large", p, None, None, args, pol, surface))
+            return
+        medium = _reference_medium(node, sig)
+        if medium is not None:
+            p, a, args = medium
+            out.append(MoleculeOccurrence("medium", p, a, None, args, pol, surface))
+            return
+        small = _reference_small(node, sig)
+        if small is not None:
+            p, a, b, args = small
+            out.append(MoleculeOccurrence("small", p, a, b, args, pol, surface))
+            return
+        surface = surface and node.surface is not QUASIATOM
+        for child, sign in zip(node.children, node.signs):
+            walk(child, pol * sign, surface)
+
+    walk(e, 1, True)
+    return out
+
+
+def reference_floorify(e: Formula, sig) -> Formula:
+    """e with its large and medium molecules and its isolated smalls
+    collapsed into their general atoms, by the reference matchers."""
+    small_counts: dict = {}
+    for occ in reference_independent_occurrences(e, sig):
+        if occ.kind == "small":
+            key = (occ.letter, occ.a, occ.b)
+            small_counts[key] = small_counts.get(key, 0) + 1
+
+    def fn(node: Formula) -> Formula | None:
+        large = _reference_large(node, sig)
+        if large is not None:
+            p, args = large
+            return Atom(gen_letter(p, sig.arities[p]), args)
+        medium = _reference_medium(node, sig)
+        if medium is not None:
+            p, _a, args = medium
+            return Atom(gen_letter(p, sig.arities[p]), args)
+        small = _reference_small(node, sig)
+        if small is not None:
+            p, a, b, args = small
+            if small_counts.get((p, a, b), 0) == 1:
+                return Atom(gen_letter(p, sig.arities[p]), args)
+            return node
+        return None
+
+    return rewrite(e, fn)

@@ -389,6 +389,17 @@ class TestTranslate:
         )
         assert code == 0 and out.strip() == "P -> P"
 
+    def test_floor_keeps_an_atom_of_another_arity(self, capsys, tmp_path):
+        # p_1_1 names a small molecule of the 0-ary P; p_1_1(0) is no molecule
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps(_signature()))
+        text = "p_1_1(0) \\/ q"
+        code, out, err = run_cli(
+            capsys, "translate", "floor", text, "--signature", str(sig_path), "--json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"formula": text, "floored": text, "good": True}
+
 
 class TestPlay:
     @pytest.fixture

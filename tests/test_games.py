@@ -52,6 +52,7 @@ from helpers import (
     random_game_formula,
     random_legal_run,
     rearrangements,
+    reference_is_top_delay,
     reference_play,
 )
 
@@ -123,6 +124,69 @@ class TestTopDelay:
                 for d2 in variants:
                     if is_top_delay(d1, base) and is_top_delay(d2, d1):
                         assert is_top_delay(d2, base)
+
+    def test_matches_the_pairwise_reference(self):
+        # seeded runs of up to 5 moves, tags other than T and B among them,
+        # against every rearrangement of themselves and of a run that
+        # differs in one move
+        rng = random.Random(23)
+        pairs = 0
+        for _ in range(300):
+            base = tuple(
+                LabMove(rng.choice("TBTBX"), rng.choice("ab")) for _ in range(rng.randint(0, 5))
+            )
+            other = list(base)
+            if other:
+                i = rng.randrange(len(other))
+                other[i] = LabMove(other[i].player, "c")
+            pool = [base, tuple(other), *rearrangements(base), *rearrangements(tuple(other))]
+            for d in pool:
+                for g in pool:
+                    assert is_top_delay(d, g) == reference_is_top_delay(d, g), (d, g)
+                    pairs += 1
+        assert pairs > 10_000
+
+
+class TestMoveSpelling:
+    """Index tokens and choice payloads are read only as the canonical
+    ASCII decimals that legal_moves lists."""
+
+    INTERP = Interpretation(general={"P": GeneralDef((), parse("a1 !\\/ a2"))})
+
+    @pytest.mark.parametrize(
+        "text, move, canonical",
+        [
+            ("p !\\/ q", "01", "1"),
+            ("p !\\/ q", "\u0661", "1"),
+            ("(p !\\/ q) \\/ r", "1.01", "1.1"),
+            ("(p !\\/ q) \\/ r", "01.1", "1.1"),
+            ("(p !\\/ q) \\/ r", "\u0661.1", "1.1"),
+            ("P -> P", "02.1", "2.1"),
+        ],
+    )
+    def test_only_the_canonical_spelling_is_legal(self, text, move, canonical):
+        f = parse(text)
+        assert canonical in legal_moves(f, self.INTERP, (), TOP_PLAYER)
+        assert is_unilegal(f, self.INTERP, run_of((TOP_PLAYER, canonical)))
+        assert not is_unilegal(f, self.INTERP, run_of((TOP_PLAYER, move)))
+        assert advance(ResidualState(f), self.INTERP, LabMove(TOP_PLAYER, move)) is None
+        assert reference_play(f, run_of((TOP_PLAYER, move)), self.INTERP) is None
+
+    @pytest.mark.parametrize(
+        "text, move",
+        [
+            ("P -> P", "02.x"),
+            ("(p !\\/ q) \\/ r", "01.1"),
+            ("(p !\\/ q) \\/ r", "\u0661.1"),
+            ("((p !\\/ q) \\/ r) \\/ s", "1.01.1"),
+        ],
+    )
+    def test_a_noncanonical_index_does_not_resolve(self, text, move):
+        assert parse_move(parse(text), move) is None
+
+    def test_a_machine_move_with_a_noncanonical_index_is_unmanageable(self):
+        result = is_manageable(parse("P -> P"), run_of((TOP_PLAYER, "02.x")))
+        assert not result.ok and result.clause == 1
 
 
 class TestManageability:

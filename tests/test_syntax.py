@@ -254,6 +254,15 @@ def test_walkers_over_subformulas_take_any_depth():
     assert aggregate_complexity(f) == 1202
 
 
+def test_surface_occurrences_take_any_depth():
+    f = _negations(1200, parse("p \\/ ~p"))
+    occs = surface_occurrences(f)
+    assert [(o.address, o.quasiatom, o.polarity) for o in occs] == [
+        ((1,), parse("p"), 1),
+        ((2,), parse("p"), -1),
+    ]
+
+
 def _reference_subformulas(f):
     out = [f]
     for child in f.children:

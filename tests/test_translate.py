@@ -3,8 +3,23 @@ import random
 
 import pytest
 
+import cl4kit.translate as translate
 from cl4kit.decide import decide_blindfree
-from cl4kit.syntax import Atom, Const, Implies, Neg, ParAnd, ParOr, parse, pretty
+from cl4kit.syntax import (
+    Atom,
+    ChoAnd,
+    ChoOr,
+    Const,
+    Implies,
+    Neg,
+    ParAnd,
+    ParOr,
+    elem_letter,
+    parse,
+    pretty,
+    rewrite,
+    subformulas,
+)
 from cl4kit.translate import (
     MoleculeSignature,
     floorify,
@@ -14,7 +29,13 @@ from cl4kit.translate import (
     signature_for,
 )
 
-from helpers import random_blindfree
+from helpers import (
+    random_blindfree,
+    random_game_formula,
+    reference_floorify,
+    reference_independent_occurrences,
+)
+from test_acceptance import EXERCISE_BLINDFREE, EXERCISE_EXTENDED
 
 
 class TestSignature:
@@ -160,6 +181,83 @@ class TestGoodness:
         assert not r.ok and r.cond == 4
 
 
+class TestWrongArity:
+    """An elementary atom named like a small molecule but of another arity
+    is no molecule."""
+
+    SIG = signature_for(parse("P"))
+
+    @pytest.mark.parametrize("text", ["p_1_1(0) \\/ q", "(p_1_1(0) !\\/ p_1_2(0)) -> q"])
+    def test_is_kept(self, text):
+        e = parse(text)
+        assert independent_occurrences(e, self.SIG) == []
+        assert floorify(e, self.SIG) == e
+        assert is_good(e, self.SIG)
+
+
+def _edits(node):
+    """Near misses of a molecule: one part dropped, the parts reversed, the
+    first part's atoms re-argued, one column swapped between two rows."""
+    parts = list(node.parts)
+    yield type(node)(tuple(parts[1:])) if len(parts) > 2 else parts[1]
+    yield type(node)(tuple(reversed(parts)))
+
+    def reargue(n):
+        if isinstance(n, Atom) and n.args:
+            return Atom(n.letter, (Const(7),) * len(n.args))
+        return None
+
+    yield type(node)((rewrite(parts[0], reargue), *parts[1:]))
+    if all(isinstance(part, ChoOr) for part in parts):
+        (x, *xs), (y, *ys) = parts[0].parts, parts[1].parts
+        yield ChoAnd((ChoOr((y, *xs)), ChoOr((x, *ys)), *parts[2:]))
+
+
+def _near_misses(rng, lifted):
+    """lifted with one edit at one of up to three of its choice chains."""
+    chains = [g for g in subformulas(lifted) if isinstance(g, (ChoAnd, ChoOr))]
+    for target in rng.sample(chains, min(3, len(chains))):
+        for edit in _edits(target):
+            yield rewrite(lifted, lambda n: edit if n is target else None)
+
+
+class TestRecognizer:
+    """The one recognizer against the reference matchers, which build each
+    molecule they look for and compare it with the node."""
+
+    def inputs(self):
+        rng = random.Random(606)
+        texts = [text for text, _ in (*EXERCISE_BLINDFREE.values(), *EXERCISE_EXTENDED.values())]
+        formulas = [parse(text) for text in texts]
+        formulas += [random_blindfree(rng, depth=3) for _ in range(60)]
+        formulas += [random_game_formula(rng, depth=3)[0] for _ in range(30)]
+        for f in formulas:
+            sig = signature_for(f)
+            lifted = lift(f, sig)
+            yield f, sig
+            yield lifted, sig
+            for e in _near_misses(rng, lifted):
+                yield e, sig
+        sig = signature_for(parse("P /\\ Q"))
+        for _ in range(100):
+            yield _random_molecule_formula(rng, sig), sig
+
+    def test_matches_the_reference(self, monkeypatch):
+        cases = list(self.inputs())
+        assert len(cases) > 1000
+        goodness = []
+        for e, sig in cases:
+            occs = independent_occurrences(e, sig)
+            assert occs == reference_independent_occurrences(e, sig), pretty(e)
+            assert floorify(e, sig) == reference_floorify(e, sig), pretty(e)
+            goodness.append(is_good(e, sig))
+        monkeypatch.setattr(
+            translate, "independent_occurrences", reference_independent_occurrences
+        )
+        assert [is_good(e, sig) for e, sig in cases] == goodness
+        assert any(not g for g in goodness) and any(goodness)
+
+
 class TestProvabilityTransfer:
     def test_unprovable_formulas_stay_unprovable_lifted(self):
         for text in ("P !\\/ ~P", "P -> P /\\ P"):
@@ -197,7 +295,6 @@ class TestProvabilityTransfer:
 def _random_molecule_formula(rng, sig):
     """Blind-free formula whose leaves mix elementary atoms with large and
     medium molecules of the signature."""
-    from cl4kit.syntax import ChoAnd, ChoOr, Implies, Neg, ParAnd, ParOr, elem_letter
 
     def leaf():
         k = rng.randrange(6)
